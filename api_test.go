@@ -8,38 +8,34 @@ import (
 	"testing"
 )
 
-// TestPresetRegistry pins the Presets registry: names in Table 4 order,
-// analyzer wiring per column, and the default strategy on every preset.
+// TestPresetRegistry pins the preset registry: names in Table 4 order,
+// analyzer wiring per column, and no Strategy set on any preset.
 func TestPresetRegistry(t *testing.T) {
 	wantNames := []string{"L2", "A", "B", "C", "D", "E", "F"}
 	if got := PresetNames(); !reflect.DeepEqual(got, wantNames) {
 		t.Errorf("PresetNames() = %v, want %v", got, wantNames)
 	}
 
-	presets := Presets()
-	if len(presets) != len(wantNames) {
-		t.Errorf("Presets() has %d entries, want %d", len(presets), len(wantNames))
-	}
-	for _, name := range wantNames {
-		reg, ok := presets[name]
-		if !ok {
-			t.Errorf("Presets() is missing %q", name)
-			continue
-		}
+	for _, name := range PresetNames() {
+		reg := MustPreset(name)
 		if reg.Name != name {
-			t.Errorf("Presets()[%q].Name = %q", name, reg.Name)
+			t.Errorf("MustPreset(%q).Name = %q", name, reg.Name)
 		}
 		if reg.UseAnalyzer != (name != "L2") {
-			t.Errorf("Presets()[%q].UseAnalyzer = %t", name, reg.UseAnalyzer)
+			t.Errorf("MustPreset(%q).UseAnalyzer = %t", name, reg.UseAnalyzer)
 		}
 		if reg.WantProfile != (name == "B" || name == "F") {
-			t.Errorf("Presets()[%q].WantProfile = %t", name, reg.WantProfile)
+			t.Errorf("MustPreset(%q).WantProfile = %t", name, reg.WantProfile)
 		}
-		if reg.Strategy != DefaultStrategy {
-			t.Errorf("Presets()[%q].Strategy = %q, want %q", name, reg.Strategy, DefaultStrategy)
+		if reg.Strategy != "" || reg.Analyzer.Strategy != "" {
+			t.Errorf("MustPreset(%q) sets Strategy %q/%q, want empty",
+				name, reg.Strategy, reg.Analyzer.Strategy)
 		}
-		if !reflect.DeepEqual(reg, MustPreset(name)) {
-			t.Errorf("Presets()[%q] differs from MustPreset(%q)", name, name)
+		byName, err := PresetByName(name)
+		if err != nil {
+			t.Errorf("PresetByName(%q): %v", name, err)
+		} else if !reflect.DeepEqual(byName, reg) {
+			t.Errorf("PresetByName(%q) differs from MustPreset(%q)", name, name)
 		}
 	}
 
@@ -91,37 +87,31 @@ func TestMustPreset(t *testing.T) {
 	MustPreset("Z")
 }
 
-// TestStrategyAPI covers the strategy surface of the public package: the
-// registered names, resolution, and WithStrategy derivation.
+// TestStrategyAPI covers what is left of the strategy surface: the
+// Config.Strategy field accepts "" and "priority" (the paper's coloring,
+// the only policy) and fails the build loudly on a removed policy name
+// instead of silently building with priority coloring.
 func TestStrategyAPI(t *testing.T) {
-	names := StrategyNames()
-	if len(names) != 4 || names[0] != DefaultStrategy {
-		t.Fatalf("StrategyNames() = %v, want default-first 4 strategies", names)
+	ctx := context.Background()
+	def, err := Build(ctx, tracedProgram(), MustPreset("C"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, name := range names {
-		canon, err := ResolveStrategy(strings.ToUpper(name))
-		if err != nil || canon != name {
-			t.Errorf("ResolveStrategy(%q) = %q, %v", strings.ToUpper(name), canon, err)
+	cfg := MustPreset("C")
+	cfg.Strategy = "priority"
+	named, err := Build(ctx, tracedProgram(), cfg)
+	if err != nil {
+		t.Fatalf("Build with Strategy %q: %v", cfg.Strategy, err)
+	}
+	if !bytes.Equal(exeBytes(t, def.Exe), exeBytes(t, named.Exe)) {
+		t.Error(`Strategy "priority" differs from the default build`)
+	}
+	for _, name := range []string{"tiling", "firstfit", "spill-everywhere", "Priority"} {
+		cfg := MustPreset("C")
+		cfg.Strategy = name
+		if _, err := Build(ctx, tracedProgram(), cfg); err == nil {
+			t.Errorf("Build with Strategy %q should fail", name)
 		}
-	}
-	if canon, err := ResolveStrategy(""); err != nil || canon != DefaultStrategy {
-		t.Errorf("ResolveStrategy(\"\") = %q, %v", canon, err)
-	}
-	if _, err := ResolveStrategy("nope"); err == nil {
-		t.Error("ResolveStrategy(\"nope\") should fail")
-	}
-
-	cfg := MustPreset("C").WithStrategy("tiling")
-	if cfg.Strategy != "tiling" || cfg.Name != "C" {
-		t.Errorf("WithStrategy derivation = %+v", cfg)
-	}
-	if MustPreset("C").Strategy != DefaultStrategy {
-		t.Error("WithStrategy mutated the registry copy")
-	}
-
-	// An unknown strategy surfaces as a Build error, not a panic.
-	if _, err := Build(context.Background(), tracedProgram(), MustPreset("C").WithStrategy("nope")); err == nil {
-		t.Error("Build with unknown strategy should fail")
 	}
 }
 

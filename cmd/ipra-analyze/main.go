@@ -36,7 +36,6 @@ func main() {
 	var (
 		out         = flag.String("o", "prog.pdb", "program database output path")
 		promotion   = flag.String("promotion", "coloring", "global variable promotion: none, coloring, greedy, blanket")
-		strategy    = flag.String("strategy", "", "allocation strategy ("+strings.Join(core.StrategyNames(), ", ")+"; default "+core.DefaultStrategyName+")")
 		regsN       = flag.Int("regs", 6, "callee-saves registers reserved for web coloring")
 		blanketN    = flag.Int("blanket", 6, "globals promoted under blanket mode")
 		spillMotion = flag.Bool("spill-motion", true, "enable spill code motion (clusters)")
@@ -59,12 +58,6 @@ func main() {
 	ctx := common.Context(context.Background())
 
 	opt := core.DefaultOptions()
-	canon, err := core.ResolveStrategy(*strategy)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ipra-analyze: %v\n", err)
-		os.Exit(2)
-	}
-	opt.Strategy = canon
 	opt.SpillMotion = *spillMotion
 	opt.ColoringRegs = *regsN
 	opt.BlanketCount = *blanketN

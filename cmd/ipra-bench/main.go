@@ -6,9 +6,6 @@
 //	ipra-bench -raw            absolute counters for every cell
 //	ipra-bench -webstats       §6.2 web census on a generated large program
 //	ipra-bench -bench NAME     restrict to one benchmark
-//	ipra-bench -strategies all run the benchmark × config × strategy
-//	                           matrix ("all" or a comma-separated list)
-//	ipra-bench -json PATH      also write the matrix as JSON
 package main
 
 import (
@@ -16,9 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	"ipra"
 	"ipra/internal/bench"
 	"ipra/internal/census"
 	"ipra/internal/cliutil"
@@ -26,12 +21,10 @@ import (
 
 func main() {
 	var (
-		table      = flag.Int("table", 0, "paper table to regenerate (4 or 5; 0 = both)")
-		raw        = flag.Bool("raw", false, "print absolute counter values")
-		webstats   = flag.Bool("webstats", false, "print the §6.2 web census on a generated large program")
-		only       = flag.String("bench", "", "run a single benchmark")
-		strategies = flag.String("strategies", "", "run the strategy matrix: \"all\" or a comma-separated subset of "+strings.Join(ipra.StrategyNames(), ", "))
-		jsonPath   = flag.String("json", "", "write the strategy matrix as JSON to this file")
+		table    = flag.Int("table", 0, "paper table to regenerate (4 or 5; 0 = both)")
+		raw      = flag.Bool("raw", false, "print absolute counter values")
+		webstats = flag.Bool("webstats", false, "print the §6.2 web census on a generated large program")
+		only     = flag.String("bench", "", "run a single benchmark")
 	)
 	common := cliutil.New("ipra-bench")
 	common.Register(flag.CommandLine)
@@ -41,12 +34,7 @@ func main() {
 	}
 	ctx := common.Context(context.Background())
 
-	var err error
-	if *strategies != "" {
-		err = runMatrix(ctx, common, *strategies, *jsonPath, *only)
-	} else {
-		err = run(ctx, common, *table, *raw, *webstats, *only)
-	}
+	err := run(ctx, common, *table, *raw, *webstats, *only)
 	if common.Verbose {
 		common.CacheStats(os.Stderr)
 	}
@@ -56,46 +44,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-}
-
-// runMatrix drives the benchmark × configuration × strategy sweep.
-func runMatrix(ctx context.Context, common *cliutil.Common, strategies, jsonPath, only string) error {
-	opt := bench.MatrixOptions{Jobs: common.Jobs}
-	if strategies != "all" {
-		opt.Strategies = strings.Split(strategies, ",")
-	}
-	if only != "" {
-		opt.Benchmarks = []string{only}
-	}
-	rows, err := bench.RunMatrix(ctx, opt)
-	if err != nil {
-		return err
-	}
-	bench.WriteMatrixTable(os.Stdout, rows)
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		werr := bench.WriteMatrixJSON(f, rows)
-		cerr := f.Close()
-		if werr != nil {
-			return werr
-		}
-		if cerr != nil {
-			return cerr
-		}
-	}
-	for _, r := range rows {
-		if len(r.Mismatch) > 0 {
-			return fmt.Errorf("behaviour mismatch in %s: %s", r.Benchmark, strings.Join(r.Mismatch, ","))
-		}
-		// A false LowerBoundHolds is reported in the table and recorded in
-		// the JSON rather than failing the run: a contender can genuinely
-		// land below the do-nothing oracle when its spill motion
-		// mispredicts (protoc under profile-trained B does exactly this).
-	}
-	return nil
 }
 
 func run(ctx context.Context, common *cliutil.Common, table int, raw, webstats bool, only string) error {

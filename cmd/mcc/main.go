@@ -254,7 +254,6 @@ func runRemote(ctx context.Context, files []string, addr string, build *cliutil.
 
 	req := &served.BuildRequest{
 		Config:      cfg.Name,
-		Strategy:    cfg.Strategy,
 		Sources:     make([]served.Source, len(sources)),
 		TrainInstrs: build.TrainInstrs,
 		Verify:      common.Verify,

@@ -152,9 +152,6 @@ func writeFileWith(path string, write func(io.Writer) error) error {
 type BuildFlags struct {
 	// ConfigName is the -config value: L2 or Table 4 column A-F.
 	ConfigName string
-	// StrategyName is the -strategy value: a registered allocation
-	// strategy, or "" for the preset's default (priority coloring).
-	StrategyName string
 	// TrainInstrs is the -train-instrs value: the instruction budget of
 	// the training run of profiled configurations (B, F).
 	TrainInstrs uint64
@@ -165,15 +162,8 @@ type BuildFlags struct {
 // RegisterBuild installs the shared build flags on fs.
 func (b *BuildFlags) RegisterBuild(fs *flag.FlagSet) {
 	fs.StringVar(&b.ConfigName, "config", "C", "build configuration: L2 or Table 4 column A-F ("+strings.Join(ipra.PresetNames(), ", ")+")")
-	b.RegisterStrategy(fs)
 	b.RegisterTraining(fs)
 	fs.StringVar(&b.ExePath, "exe", "", "executable output path")
-}
-
-// RegisterStrategy installs only -strategy — split out so tools can
-// compose it with their own configuration flags.
-func (b *BuildFlags) RegisterStrategy(fs *flag.FlagSet) {
-	fs.StringVar(&b.StrategyName, "strategy", "", "allocation strategy ("+strings.Join(ipra.StrategyNames(), ", ")+"; default "+ipra.DefaultStrategy+")")
 }
 
 // RegisterTraining installs only -train-instrs — for tools (the build
@@ -183,22 +173,9 @@ func (b *BuildFlags) RegisterTraining(fs *flag.FlagSet) {
 	fs.Uint64Var(&b.TrainInstrs, "train-instrs", 100_000_000, "instruction budget for the training run of profiled configurations (B, F)")
 }
 
-// Config resolves the -config preset from the ipra registry and applies
-// the -strategy selection (validated eagerly, so a typo fails at flag
-// handling rather than mid-build).
+// Config resolves the -config preset from the ipra registry.
 func (b *BuildFlags) Config() (ipra.Config, error) {
-	cfg, err := ipra.PresetByName(b.ConfigName)
-	if err != nil {
-		return ipra.Config{}, err
-	}
-	if b.StrategyName != "" {
-		canon, err := ipra.ResolveStrategy(b.StrategyName)
-		if err != nil {
-			return ipra.Config{}, err
-		}
-		cfg = cfg.WithStrategy(canon)
-	}
-	return cfg, nil
+	return ipra.PresetByName(b.ConfigName)
 }
 
 // CacheStats prints the process-wide phase-1 cache counters to w, the

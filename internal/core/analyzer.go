@@ -90,11 +90,11 @@ type Options struct {
 	// directives are byte-identical at every setting — results are merged
 	// in variable-index order.
 	Jobs int
-	// Strategy names the registered allocation strategy web promotion is
-	// delegated to ("" selects DefaultStrategyName, the paper's priority
-	// coloring). The strategy decides which webs occupy which
-	// callee-saves registers and may veto spill motion; see strategy.go
-	// and StrategyNames for the registered set.
+	// Strategy exists only for the perfbench replay harness, which still
+	// sets it; a later benchmark change removes it. The paper's priority
+	// coloring is the analyzer's only policy, so "" and "priority" are
+	// accepted and any other value makes Analyze and AnalyzeIncremental
+	// fail.
 	Strategy string
 	// CallerSavesPreallocation enables the §7.6.2 [Chow 88]-style
 	// extension: each procedure's caller-saves usage is contracted to its
@@ -140,9 +140,6 @@ type Result struct {
 	Blankets []*webs.Web
 	Clusters *clusters.Identification
 	Stats    Stats
-	// Strategy is the canonical name of the allocation strategy that
-	// produced this result.
-	Strategy string
 }
 
 // Analyze runs the program analyzer over the given summary files. The
@@ -155,18 +152,16 @@ func Analyze(ctx context.Context, summaries []*summary.ModuleSummary, opt Option
 	defer span.End()
 	span.SetInt("modules", int64(len(summaries)))
 
-	a, err := newAnalysis(opt)
-	if err != nil {
+	if err := checkStrategy(opt); err != nil {
 		return nil, err
 	}
+	a := newAnalysis(opt)
 	if err := a.stageGraph(ctx, summaries); err != nil {
 		return nil, err
 	}
-	a.stageRefsets(ctx)  // ---- Global variable promotion (§4.1).
+	a.stageRefsets(ctx) // ---- Global variable promotion (§4.1).
 	a.stageWebs(ctx)
-	if err := a.stageColoring(ctx); err != nil {
-		return nil, err
-	}
+	a.stageColoring(ctx)
 	a.stageClusters(ctx) // ---- Spill code motion (§4.2).
 	a.stageClusterSets()
 	if err := a.stageDirectives(ctx); err != nil {
@@ -393,9 +388,6 @@ func (r *Result) Report() string {
 	fmt.Fprintf(&b, "eligible globals: %d\n", r.Stats.EligibleGlobals)
 	fmt.Fprintf(&b, "webs: %d found, %d considered, %d colored\n",
 		r.Stats.WebsFound, r.Stats.WebsConsidered, r.Stats.WebsColored)
-	if r.Strategy != "" {
-		fmt.Fprintf(&b, "strategy: %s\n", r.Strategy)
-	}
 	if r.Clusters != nil {
 		fmt.Fprintf(&b, "clusters: %d (average size %.1f)\n", r.Stats.Clusters, r.Stats.AvgClusterSize)
 	}

@@ -215,3 +215,35 @@ func TestReportMentionsEverything(t *testing.T) {
 		}
 	}
 }
+
+// TestAnalyzeUnknownStrategy: priority coloring is the analyzer's only
+// policy. Options.Strategy accepts "" and "priority" and both entry points
+// fail loudly on any other name, so a caller asking for a removed policy
+// never silently gets priority coloring instead.
+func TestAnalyzeUnknownStrategy(t *testing.T) {
+	ctx := context.Background()
+	sums := twoModuleProgram()
+	opt := core.DefaultOptions()
+	def, err := core.Analyze(ctx, sums, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Strategy = "priority"
+	named, err := core.Analyze(ctx, sums, opt)
+	if err != nil {
+		t.Fatalf("Analyze with Strategy %q: %v", opt.Strategy, err)
+	}
+	if def.DB.Hash() != named.DB.Hash() {
+		t.Error(`Strategy "priority" changed the program database`)
+	}
+	st := core.NewState(def, sums, core.DefaultOptions())
+	for _, name := range []string{"tiling", "firstfit", "spill-everywhere", "bogus"} {
+		opt.Strategy = name
+		if _, err := core.Analyze(ctx, sums, opt); err == nil {
+			t.Errorf("Analyze with Strategy %q should fail", name)
+		}
+		if _, _, _, err := core.AnalyzeIncremental(ctx, sums, opt, st, nil); err == nil {
+			t.Errorf("AnalyzeIncremental with Strategy %q should fail", name)
+		}
+	}
+}

@@ -55,6 +55,9 @@ func AnalyzeIncremental(ctx context.Context, summaries []*summary.ModuleSummary,
 	ctx, span := telemetry.StartSpan(ctx, "analyze")
 	defer span.End()
 	span.SetStr("mode", "incremental")
+	if err := checkStrategy(opt); err != nil {
+		return nil, nil, nil, err
+	}
 	rs := &ReuseStats{}
 
 	fallback := func(reason string) (*Result, *State, *ReuseStats, error) {
@@ -363,10 +366,7 @@ func AnalyzeIncremental(ctx context.Context, summaries []*summary.ModuleSummary,
 		}
 	}
 
-	a, err := newAnalysis(opt)
-	if err != nil {
-		return nil, nil, nil, err
-	}
+	a := newAnalysis(opt)
 	a.res.Graph = g
 	a.res.Sets = sets
 	a.eligible = eligible
@@ -439,9 +439,7 @@ func AnalyzeIncremental(ctx context.Context, summaries []*summary.ModuleSummary,
 	webSpan.SetInt("reused", int64(rs.WebsReused))
 	webSpan.End()
 
-	if err := a.stageColoring(ctx); err != nil {
-		return nil, nil, nil, err
-	}
+	a.stageColoring(ctx)
 
 	// Clusters depend only on call counts and per-node register needs.
 	needsChanged := false
@@ -452,7 +450,7 @@ func AnalyzeIncremental(ctx context.Context, summaries []*summary.ModuleSummary,
 			break
 		}
 	}
-	if a.spillMotion() {
+	if opt.SpillMotion {
 		if rs.CountsRecomputed || needsChanged || prev.clusters == nil {
 			a.stageClusters(ctx)
 			prev.clusters = a.res.Clusters

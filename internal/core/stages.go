@@ -25,10 +25,7 @@ import (
 // byte-identical to a clean run by construction.
 type analysis struct {
 	opt Options
-	// strategy is the resolved allocation strategy the coloring stage
-	// delegates to.
-	strategy Strategy
-	res      *Result
+	res *Result
 
 	// eligible is the promotion-eligible global universe (sorted).
 	eligible []string
@@ -39,35 +36,28 @@ type analysis struct {
 	promotedAt []regs.Set
 	// asn carries the cluster register usage sets.
 	asn *clusters.Assignment
-	// noSpillMotion is the strategy's veto: set by stageColoring when the
-	// assignment disables the cluster stages (spill-everywhere).
-	noSpillMotion bool
 }
 
-// newAnalysis normalizes the options, resolves the allocation strategy,
-// and allocates the result shell.
-func newAnalysis(opt Options) (*analysis, error) {
+// checkStrategy rejects any Options.Strategy other than the paper's
+// coloring, so a caller asking for a removed policy fails loudly instead
+// of silently getting priority coloring.
+func checkStrategy(opt Options) error {
+	if opt.Strategy != "" && opt.Strategy != "priority" {
+		return fmt.Errorf("core: unknown allocation strategy %q (only \"priority\" is supported)", opt.Strategy)
+	}
+	return nil
+}
+
+// newAnalysis normalizes the options and allocates the result shell.
+func newAnalysis(opt Options) *analysis {
 	if opt.Filter == (webs.FilterOptions{}) {
 		opt.Filter = webs.DefaultFilter()
 	}
 	if opt.Cluster.RootBias == 0 {
 		opt.Cluster = clusters.DefaultOptions()
 	}
-	strat, err := StrategyByName(opt.Strategy)
-	if err != nil {
-		return nil, err
-	}
-	return &analysis{
-		opt:      opt,
-		strategy: strat,
-		res:      &Result{DB: pdb.New(), Strategy: strat.Name()},
-	}, nil
+	return &analysis{opt: opt, res: &Result{DB: pdb.New()}}
 }
-
-// spillMotion reports whether the cluster stages should run: the option
-// must be on and the strategy must not have vetoed it. Only valid after
-// stageColoring.
-func (a *analysis) spillMotion() bool { return a.opt.SpillMotion && !a.noSpillMotion }
 
 // webReg maps a web color to its machine register: webs take registers
 // from the top of the callee-saves set (the cluster preallocation fills
@@ -150,23 +140,75 @@ func (a *analysis) finishWebs() {
 	}
 }
 
-// stageColoring delegates web promotion to the configured strategy and
-// reserves the chosen registers per node.
-func (a *analysis) stageColoring(ctx context.Context) error {
+// stageColoring selects the promoted webs per the configured promotion
+// mode and reserves their registers per node: priority-based coloring
+// onto a reserved register subset (§4.1.3, Table 4 column C), the greedy
+// full-set variant (column D), or [Wall 86] blanket promotion (column E).
+func (a *analysis) stageColoring(ctx context.Context) {
 	_, span := telemetry.StartSpan(ctx, "coloring")
 	defer span.End()
 	span.SetStr("mode", a.opt.Promotion.String())
-	span.SetStr("strategy", a.strategy.Name())
-	g := a.res.Graph
-	in := &StrategyInput{Graph: g, Sets: a.res.Sets, Webs: a.res.Webs, Opt: a.opt}
-	asn, err := a.strategy.Allocate(ctx, in)
-	if err != nil {
-		return fmt.Errorf("strategy %q: %w", a.strategy.Name(), err)
+	g, allWebs := a.res.Graph, a.res.Webs
+	a.active = a.active[:0]
+	switch a.opt.Promotion {
+	case PromoteColoring:
+		k := a.opt.ColoringRegs
+		if k <= 0 {
+			k = 6
+		}
+		if k > 16 {
+			k = 16
+		}
+		a.res.Stats.WebsColored = webs.Color(allWebs, k)
+		for _, w := range allWebs {
+			if !w.Discarded && w.Color >= 0 {
+				a.active = append(a.active, w)
+			}
+		}
+	case PromoteGreedy:
+		need := func(n int) int {
+			nd := g.Nodes[n]
+			if nd.Rec == nil {
+				return 0
+			}
+			return nd.Rec.CalleeSavesBase
+		}
+		a.res.Stats.WebsColored = webs.GreedyColor(allWebs, g, need, 16)
+		for _, w := range allWebs {
+			if !w.Discarded && w.Color >= 0 {
+				a.active = append(a.active, w)
+			}
+		}
+	case PromoteBlanket:
+		n := a.opt.BlanketCount
+		if n <= 0 {
+			n = 6
+		}
+		blankets := webs.BlanketSelect(g, a.res.Sets, allWebs, n)
+		// A blanket web's loads are inserted at its entry procedures. An
+		// entry without a summary record is code we never compile — the
+		// unknown callers of a partial program (§7.2) — so nothing would
+		// load the global and every member reached from it would read a
+		// stale register. Such webs cannot be realized; drop them.
+		kept := blankets[:0]
+		for _, w := range blankets {
+			realizable := true
+			for _, e := range w.Entries {
+				if g.Nodes[e].Rec == nil {
+					realizable = false
+					break
+				}
+			}
+			if realizable {
+				kept = append(kept, w)
+			}
+		}
+		a.res.Blankets = kept
+		a.active = append(a.active, kept...)
+		a.res.Stats.WebsColored = len(a.active)
+	default:
+		a.res.Stats.WebsColored = 0
 	}
-	a.active = append(a.active[:0], asn.Active...)
-	a.res.Blankets = asn.Blankets
-	a.res.Stats.WebsColored = asn.Colored
-	a.noSpillMotion = asn.DisableSpillMotion
 	if cap(a.promotedAt) >= len(g.Nodes) {
 		a.promotedAt = a.promotedAt[:len(g.Nodes)]
 		for i := range a.promotedAt {
@@ -182,12 +224,11 @@ func (a *analysis) stageColoring(ctx context.Context) error {
 		})
 	}
 	span.SetInt("colored", int64(a.res.Stats.WebsColored))
-	return nil
 }
 
 // stageClusters identifies and prunes the spill-motion clusters.
 func (a *analysis) stageClusters(ctx context.Context) {
-	if !a.spillMotion() {
+	if !a.opt.SpillMotion {
 		return
 	}
 	_, span := telemetry.StartSpan(ctx, "clusters")
@@ -209,7 +250,7 @@ func (a *analysis) refreshClusterStats() {
 // excluded from preallocation), so it always re-runs even when the
 // cluster structure itself is reused.
 func (a *analysis) stageClusterSets() {
-	if !a.spillMotion() {
+	if !a.opt.SpillMotion {
 		return
 	}
 	g := a.res.Graph

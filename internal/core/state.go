@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"ipra/internal/callgraph"
 	"ipra/internal/clusters"
@@ -71,10 +70,7 @@ func (st *State) Unsupported() string { return st.unsupported }
 // optionsKey fingerprints every option that shapes analyzer output. Jobs
 // is deliberately excluded — results are byte-identical at any setting.
 // The Profile contents are excluded too: a run with a profile attached
-// always recomputes counts, so only its presence matters. The strategy
-// name participates so switching strategies over one build directory
-// falls back to a full analysis instead of patching a state the new
-// policy never produced.
+// always recomputes counts, so only its presence matters.
 func optionsKey(opt Options) string {
 	if opt.Filter == (webs.FilterOptions{}) {
 		opt.Filter = webs.DefaultFilter()
@@ -82,14 +78,10 @@ func optionsKey(opt Options) string {
 	if opt.Cluster.RootBias == 0 {
 		opt.Cluster = clusters.DefaultOptions()
 	}
-	strat := opt.Strategy
-	if strat == "" {
-		strat = DefaultStrategyName
-	}
-	return fmt.Sprintf("v2|sm=%t|pm=%d|cr=%d|bc=%d|f=%+v|cl=%+v|pp=%t|mw=%t|prof=%t|csp=%t|strat=%s",
+	return fmt.Sprintf("v3|sm=%t|pm=%d|cr=%d|bc=%d|f=%+v|cl=%+v|pp=%t|mw=%t|prof=%t|csp=%t",
 		opt.SpillMotion, opt.Promotion, opt.ColoringRegs, opt.BlanketCount,
 		opt.Filter, opt.Cluster, opt.PartialProgram, opt.MergeWebs,
-		opt.Profile != nil, opt.CallerSavesPreallocation, strings.ToLower(strat))
+		opt.Profile != nil, opt.CallerSavesPreallocation)
 }
 
 // makeStamp summarizes one module for later change detection.

@@ -89,7 +89,7 @@ func NewDriftModel(sums []*summary.ModuleSummary, filter webs.FilterOptions, job
 }
 
 // orderFor computes the considered-web priority order under p: exactly
-// the sequence the analyzer's coloring strategies consume — economic
+// the sequence the analyzer's web coloring consumes — economic
 // filter plus the structural discards, survivors sorted by (priority
 // desc, ID asc).
 func (m *DriftModel) orderFor(p *parv.Profile) []int {

@@ -45,8 +45,8 @@ const (
 type Record struct {
 	// Fingerprint is ipra.ToolchainFingerprint() of the binary's builder.
 	Fingerprint string
-	// Program is the served program key (config + strategy + module set)
-	// the counts belong to.
+	// Program is the served program key (config + sorted module name set,
+	// see served.BuildRequest.ProgramKey) the counts belong to.
 	Program string
 	// DirectiveHash is the program database hash of the build the
 	// profiled binary came from; it pins the allocation the counts were

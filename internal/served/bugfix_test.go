@@ -2,6 +2,7 @@ package served
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -86,10 +87,38 @@ func TestServedErrorStatusClasses(t *testing.T) {
 		expectStatus(t, New(Options{Jobs: 1}), &BuildRequest{Config: "ZZ", Sources: srcs},
 			http.StatusBadRequest, ReasonBadRequest)
 	})
+	expectRaw := func(t *testing.T, body, wantInError string) {
+		t.Helper()
+		ts := httptest.NewServer(New(Options{Jobs: 1}).Handler())
+		defer ts.Close()
+		resp, err := http.Post(ts.URL+"/v1/build", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var er errorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || er.Reason != ReasonBadRequest ||
+			!strings.Contains(er.Error, wantInError) {
+			t.Fatalf("got %d/%q (%s), want %d/%q mentioning %q", resp.StatusCode, er.Reason,
+				er.Error, http.StatusBadRequest, ReasonBadRequest, wantInError)
+		}
+	}
+	req, err := json.Marshal(&BuildRequest{Config: "A", Sources: srcs})
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Run("unknown strategy", func(t *testing.T) {
-		expectStatus(t, New(Options{Jobs: 1}),
-			&BuildRequest{Config: "A", Strategy: "no-such-strategy", Sources: srcs},
-			http.StatusBadRequest, ReasonBadRequest)
+		// A client from before the allocation-strategy option was removed
+		// still sends the field; the daemon must refuse the request rather
+		// than ignore the field and build with priority coloring.
+		body := `{"strategy":"tiling",` + string(req[1:])
+		expectRaw(t, body, `unknown field "strategy"`)
+	})
+	t.Run("trailing data", func(t *testing.T) {
+		expectRaw(t, string(req)+` {}`, "trailing data")
 	})
 	t.Run("compile error", func(t *testing.T) {
 		bad := []Source{{Name: "bad.mc", Text: "int main( {"}}

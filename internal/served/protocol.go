@@ -34,7 +34,6 @@ import (
 	"sort"
 	"strings"
 
-	"ipra"
 	"ipra/internal/parv"
 )
 
@@ -49,10 +48,6 @@ type BuildRequest struct {
 	// Config names a preset from the ipra registry: L2 or Table 4
 	// column A-F.
 	Config string `json:"config"`
-	// Strategy names the allocation strategy ("" for the preset's
-	// default). The server canonicalizes it on admission; it participates
-	// in both the dedup/result key and the build-directory identity.
-	Strategy string `json:"strategy,omitempty"`
 	// Sources is the complete module set of the program.
 	Sources []Source `json:"sources"`
 	// TrainInstrs bounds the training run of profiled configurations
@@ -213,18 +208,6 @@ func (r *BuildRequest) Validate() error {
 	return nil
 }
 
-// strategyKey is the strategy's contribution to both keys: lowercased,
-// with the empty string folded onto the default strategy so requests
-// that spell the default and requests that omit it share keys (and thus
-// deduplicate against each other and reuse one build directory).
-func (r *BuildRequest) strategyKey() string {
-	s := strings.ToLower(r.Strategy)
-	if s == "" {
-		return ipra.DefaultStrategy
-	}
-	return s
-}
-
 // Key fingerprints a request for single-flight deduplication and the
 // result cache: two requests share a key exactly when an identical build
 // under an identical toolchain would produce identical bytes. The
@@ -238,7 +221,6 @@ func (r *BuildRequest) Key(fingerprint string) string {
 	}
 	writeField(fingerprint)
 	writeField(strings.ToUpper(r.Config))
-	writeField(r.strategyKey())
 	var n [8]byte
 	binary.LittleEndian.PutUint64(n[:], r.TrainInstrs)
 	h.Write(n[:])
@@ -267,8 +249,6 @@ func (r *BuildRequest) ProgramKey() string {
 	sort.Strings(names)
 	h := sha256.New()
 	io.WriteString(h, strings.ToUpper(r.Config))
-	h.Write([]byte{0})
-	io.WriteString(h, r.strategyKey())
 	h.Write([]byte{0})
 	for _, name := range names {
 		io.WriteString(h, name)

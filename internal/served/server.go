@@ -98,9 +98,9 @@ var ErrSaturated = errors.New("served: admission queue full")
 // the requester's point of view — clients should fail over, not retry.
 var ErrDraining = errors.New("served: server is draining")
 
-// RequestError marks a fault in the request itself — missing fields,
-// unknown config or strategy — mapped to HTTP 400, as opposed to a
-// compile failure in a well-formed request (422).
+// RequestError marks a fault in the request itself — missing fields or
+// an unknown config — mapped to HTTP 400, as opposed to a compile failure
+// in a well-formed request (422).
 type RequestError struct{ Err error }
 
 func (e *RequestError) Error() string { return e.Err.Error() }
@@ -285,13 +285,6 @@ func (s *Server) Build(ctx context.Context, req *BuildRequest) (*BuildResponse, 
 	if _, err := ipra.PresetByName(req.Config); err != nil {
 		return nil, &RequestError{Err: err}
 	}
-	// Canonicalize the strategy before any key is computed so "" and
-	// the default name deduplicate (and cache) as one request.
-	canon, err := ipra.ResolveStrategy(req.Strategy)
-	if err != nil {
-		return nil, &RequestError{Err: err}
-	}
-	req.Strategy = canon
 	if s.draining.Load() {
 		return nil, ErrDraining
 	}
@@ -402,11 +395,6 @@ func (s *Server) runBuild(ctx context.Context, req *BuildRequest) (*BuildRespons
 	if err != nil {
 		return nil, err
 	}
-	strat, err := ipra.ResolveStrategy(req.Strategy)
-	if err != nil {
-		return nil, err
-	}
-	cfg = cfg.WithStrategy(strat)
 	cfg.Jobs = s.opts.Jobs
 
 	sources := make([]ipra.Source, len(req.Sources))
@@ -657,9 +645,19 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
+	// Unknown fields are rejected, not ignored: a client asking for an
+	// option this daemon does not have must get 400, never a silently
+	// different build.
 	var req BuildRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	err = dec.Decode(&req)
+	if _, terr := dec.Token(); err == nil && terr != io.EOF {
+		err = errors.New("trailing data after the request object")
+	}
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest,
+			errorResponse{Error: "bad request body: " + err.Error(), Reason: ReasonBadRequest})
 		return
 	}
 	resp, err := s.Build(r.Context(), &req)

@@ -21,8 +21,9 @@
 // source set under one Config, with functional options selecting
 // profile-guided compilation (WithProfile), persistent incremental build
 // state (WithBuildDir), and build-event telemetry (WithTelemetry). The
-// named configurations of the paper's Table 4 come from the Presets
-// registry ("L2" plus columns "A".."F").
+// named configurations of the paper's Table 4 come from the preset
+// registry (PresetNames, PresetByName, MustPreset: "L2" plus columns
+// "A".."F").
 package ipra
 
 import (
@@ -66,12 +67,10 @@ type Config struct {
 	UseAnalyzer bool
 	// Analyzer configures the program analyzer when enabled.
 	Analyzer core.Options
-	// Strategy names the allocation strategy the analyzer delegates web
-	// promotion to ("" selects the default, the paper's priority
-	// coloring). Presets carry it explicitly; derive variants with
-	// WithStrategy. The name participates in the incremental analyzer's
-	// options hash and the daemon's request keys, so switching strategies
-	// invalidates exactly what it must.
+	// Strategy exists only for the perfbench replay harness, which reads
+	// it; a later benchmark change removes it. Presets leave it empty.
+	// The analyzer accepts "" and "priority" (the paper's coloring, its
+	// only policy) and fails the build on any other value.
 	Strategy string
 	// WantProfile marks configurations that use dynamic call counts; the
 	// caller must supply Profile or build with the WithProfile option.
@@ -95,7 +94,7 @@ type Config struct {
 
 // analyzerOptions resolves the analyzer options one compile passes to
 // core.Analyze: the configured options plus the per-build profile, job
-// bound, and allocation strategy.
+// bound, and Strategy field.
 func (c Config) analyzerOptions() core.Options {
 	o := c.Analyzer
 	o.Profile = c.Profile
@@ -108,7 +107,7 @@ func (c Config) analyzerOptions() core.Options {
 
 // presetBuilders is the configuration registry: one constructor per named
 // preset — the level-2 baseline plus the paper's Table 4 columns, in
-// table order. Presets, PresetNames, and PresetByName derive from this
+// table order. PresetNames, PresetByName, and MustPreset derive from this
 // single table, so commands and harnesses never hand-maintain parallel
 // preset lists.
 var presetBuilders = []struct {
@@ -126,13 +125,13 @@ var presetBuilders = []struct {
 }
 
 func buildLevel2() Config {
-	return Config{Name: "L2", Strategy: DefaultStrategy}
+	return Config{Name: "L2"}
 }
 
 func buildConfigA() Config {
 	o := core.DefaultOptions()
 	o.Promotion = core.PromoteNone
-	return Config{Name: "A", UseAnalyzer: true, Analyzer: o, Strategy: DefaultStrategy}
+	return Config{Name: "A", UseAnalyzer: true, Analyzer: o}
 }
 
 func buildConfigB() Config {
@@ -144,19 +143,19 @@ func buildConfigB() Config {
 
 func buildConfigC() Config {
 	o := core.DefaultOptions()
-	return Config{Name: "C", UseAnalyzer: true, Analyzer: o, Strategy: DefaultStrategy}
+	return Config{Name: "C", UseAnalyzer: true, Analyzer: o}
 }
 
 func buildConfigD() Config {
 	o := core.DefaultOptions()
 	o.Promotion = core.PromoteGreedy
-	return Config{Name: "D", UseAnalyzer: true, Analyzer: o, Strategy: DefaultStrategy}
+	return Config{Name: "D", UseAnalyzer: true, Analyzer: o}
 }
 
 func buildConfigE() Config {
 	o := core.DefaultOptions()
 	o.Promotion = core.PromoteBlanket
-	return Config{Name: "E", UseAnalyzer: true, Analyzer: o, Strategy: DefaultStrategy}
+	return Config{Name: "E", UseAnalyzer: true, Analyzer: o}
 }
 
 func buildConfigF() Config {
@@ -164,17 +163,6 @@ func buildConfigF() Config {
 	c.Name = "F"
 	c.WantProfile = true
 	return c
-}
-
-// Presets returns a freshly constructed configuration for every named
-// preset: the "L2" baseline plus the paper's Table 4 columns "A".."F".
-// Each call builds new values, so callers may mutate them freely.
-func Presets() map[string]Config {
-	m := make(map[string]Config, len(presetBuilders))
-	for _, p := range presetBuilders {
-		m[p.name] = p.build()
-	}
-	return m
 }
 
 // PresetNames lists the preset names in registry (Table 4) order:
@@ -208,38 +196,8 @@ func MustPreset(name string) Config {
 	return cfg
 }
 
-// DefaultStrategy is the allocation strategy presets carry: the paper's
-// priority-based web coloring.
-const DefaultStrategy = core.DefaultStrategyName
-
-// The registered allocation strategy names, re-exported so matrix
-// drivers can name individual policies without importing internal/core.
-const (
-	StrategyPriority        = core.StrategyPriority
-	StrategyFirstFit        = core.StrategyFirstFit
-	StrategySpillEverywhere = core.StrategySpillEverywhere
-	StrategyTiling          = core.StrategyTiling
-)
-
-// StrategyNames lists the registered allocation strategies, default
-// first. Use with Config.WithStrategy or a CLI -strategy flag.
-func StrategyNames() []string { return core.StrategyNames() }
-
-// ResolveStrategy canonicalizes an allocation strategy name
-// (case-insensitive; "" resolves to DefaultStrategy) or errors with the
-// registered set.
-func ResolveStrategy(name string) (string, error) { return core.ResolveStrategy(name) }
-
-// WithStrategy derives a configuration that allocates under the named
-// strategy. The name is resolved lazily: an unknown strategy surfaces as
-// a Build error.
-func (c Config) WithStrategy(name string) Config {
-	c.Strategy = name
-	return c
-}
-
 // Configs returns the paper's full configuration sweep, Table 4 order
-// (the Presets registry minus the L2 baseline).
+// (the preset registry minus the L2 baseline).
 func Configs() []Config {
 	var out []Config
 	for _, p := range presetBuilders {
@@ -794,9 +752,8 @@ func ToolchainFingerprint() string { return toolchainFingerprint() }
 // The configuration needs no fingerprint of its own in the build state:
 // nothing in Config reaches phase 1, and phase 2 sees the configuration
 // only through the program database, whose directives are diffed directly.
-// Switching configurations — or allocation strategies, which participate
-// in the analyzer's own options hash — over one build directory therefore
-// rebuilds exactly the modules whose directives the switch changes.
+// Switching configurations over one build directory therefore rebuilds
+// exactly the modules whose directives the switch changes.
 func compileIncremental(ctx context.Context, sources []Source, cfg Config, buildDir string, explainW io.Writer) (*Program, *incremental.Outcome, error) {
 	p := &Program{Config: cfg}
 	tc := incremental.Toolchain{

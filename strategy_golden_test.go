@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"ipra/internal/benchprogs"
+	"ipra/internal/core"
 	"ipra/internal/progen"
 )
 
@@ -132,6 +133,37 @@ func TestDefaultStrategyGoldens(t *testing.T) {
 			t.Errorf("%s: no measurement for golden entry", k)
 		} else if g != w {
 			t.Errorf("%s: executable hash %s differs from pre-refactor golden %s", k, g, w)
+		}
+	}
+}
+
+// TestNoPromotionMatchesL2 pins the lower bound of the analyzer's
+// configuration space: with spill motion off and no web promotion, every
+// procedure keeps the standard linkage convention, so each Table 4
+// column must compile to exactly the level-2 executable — profiled
+// columns included, since call counts only steer what is switched off.
+func TestNoPromotionMatchesL2(t *testing.T) {
+	ctx := context.Background()
+	for prog, sources := range goldenPrograms(t) {
+		base, err := Build(ctx, sources, MustPreset("L2"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := exeBytes(t, base.Exe)
+		for _, cfg := range Configs() {
+			cfg.Analyzer.SpillMotion = false
+			cfg.Analyzer.Promotion = core.PromoteNone
+			var opts []BuildOption
+			if cfg.WantProfile {
+				opts = append(opts, WithProfile(5_000_000))
+			}
+			res, err := Build(ctx, sources, cfg, opts...)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", prog, cfg.Name, err)
+			}
+			if !bytes.Equal(exeBytes(t, res.Exe), want) {
+				t.Errorf("%s/%s: no-promotion, no-spill-motion executable differs from L2", prog, cfg.Name)
+			}
 		}
 	}
 }
