@@ -19,7 +19,6 @@ import (
 // workers must emit byte-identical pdb directives — and therefore
 // byte-identical final executables — to the sequential analyzer.
 func TestAnalyzerParallelDeterminism(t *testing.T) {
-	ResetPhase1Cache()
 	for _, b := range []string{"dhrystone", "crtool"} {
 		bm, err := benchprogs.ByName(b)
 		if err != nil {
@@ -29,10 +28,8 @@ func TestAnalyzerParallelDeterminism(t *testing.T) {
 		for _, cfg := range determinismConfigs() {
 			seqCfg := cfg
 			seqCfg.Jobs = 1
-			seqCfg.DisableCache = true
 			parCfg := cfg
 			parCfg.Jobs = 8
-			parCfg.DisableCache = true
 
 			seq, err := Build(context.Background(), sources, seqCfg)
 			if err != nil {

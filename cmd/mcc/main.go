@@ -94,9 +94,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mcc: specify -phase1, -phase2, -link, -incremental, -remote, or -profile-snapshot (see -help)")
 		os.Exit(2)
 	}
-	if common.Verbose {
-		common.CacheStats(os.Stderr)
-	}
 	if ferr := common.Finish(); err == nil {
 		err = ferr
 	}

@@ -141,7 +141,6 @@ func TestIncrementalMatchesCleanAcrossEdits(t *testing.T) {
 	for _, cfg := range determinismConfigs() {
 		cfg := cfg
 		t.Run(cfg.Name, func(t *testing.T) {
-			ResetPhase1Cache()
 			dir := t.TempDir()
 			sources := incrementalTestSources()
 
@@ -220,7 +219,6 @@ func TestIncrementalMatchesCleanAcrossEdits(t *testing.T) {
 // build directory: phase-1 state is configuration-independent, so only
 // phase 2 re-runs, driven entirely by the directive diff.
 func TestIncrementalConfigSwitchSharesPhase1(t *testing.T) {
-	ResetPhase1Cache()
 	dir := t.TempDir()
 	sources := incrementalTestSources()
 	ctx := context.Background()
@@ -247,7 +245,6 @@ func TestIncrementalConfigSwitchSharesPhase1(t *testing.T) {
 // build directory by accident without corruption: the second program sees
 // hash misses, rebuilds everything, and still links correctly.
 func TestIncrementalStateDirIsolation(t *testing.T) {
-	ResetPhase1Cache()
 	dir := t.TempDir()
 	sources := incrementalTestSources()
 	ctx := context.Background()
@@ -279,7 +276,6 @@ func TestIncrementalStateDirIsolation(t *testing.T) {
 // the executable bytes stay identical (the same check the CI smoke job
 // performs through the mcc CLI).
 func TestIncrementalBenchmarkSuite(t *testing.T) {
-	ResetPhase1Cache()
 	bm, err := benchprogs.ByName("dhrystone")
 	if err != nil {
 		t.Fatal(err)

@@ -26,7 +26,7 @@ type Common struct {
 	// Jobs is the -j value: 0 = one worker per CPU, 1 = sequential.
 	Jobs int
 	// Verbose is the -v value; each tool decides what extra output it
-	// unlocks (cache statistics, analysis reports, ...).
+	// unlocks (analysis reports, incremental reuse, ...).
 	Verbose bool
 	// Verify is the -verify value: run the internal/verify invariant
 	// checker over the program analyzer's output and fail on violations.
@@ -176,14 +176,6 @@ func (b *BuildFlags) RegisterTraining(fs *flag.FlagSet) {
 // Config resolves the -config preset from the ipra registry.
 func (b *BuildFlags) Config() (ipra.Config, error) {
 	return ipra.PresetByName(b.ConfigName)
-}
-
-// CacheStats prints the process-wide phase-1 cache counters to w, the
-// shared -v footer of the compile-driving tools.
-func (c *Common) CacheStats(w io.Writer) {
-	s := ipra.Phase1CacheStats()
-	fmt.Fprintf(w, "%s: phase-1 cache: %d hits, %d misses, %d evictions, %d entries\n",
-		c.tool, s.Hits, s.Misses, s.Evictions, s.Entries)
 }
 
 // Fatal prints the error prefixed with the tool name and exits 1.

@@ -194,7 +194,7 @@ func TestIncrementalFallbackGuards(t *testing.T) {
 	}{
 		{name: "nil state", prev: func() *State { return nil }, opt: opt, sums: func() []*summary.ModuleSummary { return sums }},
 		{name: "options changed", prev: func() *State { return NewState(res, sums, opt) },
-			opt: func() Options { o := opt; o.ColoringRegs = 4; return o }(),
+			opt:  func() Options { o := opt; o.ColoringRegs = 4; return o }(),
 			sums: func() []*summary.ModuleSummary { return sums }},
 		{name: "module set changed", prev: func() *State { return NewState(res, sums, opt) }, opt: opt,
 			sums: func() []*summary.ModuleSummary { return sums[:len(sums)-1] }},

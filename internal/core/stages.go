@@ -280,7 +280,7 @@ func (a *analysis) stageDirectives(ctx context.Context) error {
 	off := 0
 	for i, c := range counts {
 		if c > 0 {
-			perNode[i] = backing[off:off : off+c]
+			perNode[i] = backing[off : off : off+c]
 			off += c
 		}
 	}

@@ -181,12 +181,12 @@ func NewState(res *Result, summaries []*summary.ModuleSummary, opt Options) *Sta
 
 type stateEnc struct{ b []byte }
 
-func (e *stateEnc) u(v uint64)   { e.b = binary.AppendUvarint(e.b, v) }
-func (e *stateEnc) i(v int64)    { e.b = binary.AppendVarint(e.b, v) }
-func (e *stateEnc) bool(v bool)  { e.b = append(e.b, b2u(v)) }
-func (e *stateEnc) s(s string)   { e.u(uint64(len(s))); e.b = append(e.b, s...) }
-func (e *stateEnc) f(v float64)  { e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v)) }
-func (e *stateEnc) w(v uint64)   { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
+func (e *stateEnc) u(v uint64)  { e.b = binary.AppendUvarint(e.b, v) }
+func (e *stateEnc) i(v int64)   { e.b = binary.AppendVarint(e.b, v) }
+func (e *stateEnc) bool(v bool) { e.b = append(e.b, b2u(v)) }
+func (e *stateEnc) s(s string)  { e.u(uint64(len(s))); e.b = append(e.b, s...) }
+func (e *stateEnc) f(v float64) { e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v)) }
+func (e *stateEnc) w(v uint64)  { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
 func (e *stateEnc) strs(ss []string) {
 	e.u(uint64(len(ss)))
 	for _, s := range ss {

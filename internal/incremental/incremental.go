@@ -33,7 +33,6 @@ import (
 	"sort"
 	"strings"
 
-	"ipra/internal/cache"
 	"ipra/internal/ir"
 	"ipra/internal/parv"
 	"ipra/internal/pdb"
@@ -172,7 +171,7 @@ func Build(ctx context.Context, dir string, sources []Source, tc Toolchain, opts
 	err = pipeline.ForEachCtx(p1ctx, opts.Jobs, len(sources), func(ctx context.Context, i int) error {
 		src := sources[i]
 		out.Actions[i].Module = src.Name
-		hashes[i] = cache.SourceKey(src.Name, src.Text, tc.Fingerprint).Hex()
+		hashes[i] = sourceKey(src.Name, src.Text, tc.Fingerprint)
 
 		reason := ""
 		prev := st.prev.Modules[src.Name]

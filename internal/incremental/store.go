@@ -4,8 +4,8 @@
 // Layout:
 //
 //	<build-dir>/manifest.json    fingerprint + per-module state (below)
-//	<build-dir>/p1-<module>.wire phase-1 record (IR module + summary, the
-//	                             cache package's entry encoding)
+//	<build-dir>/p1-<module>.wire phase-1 record (IR module + summary,
+//	                             EncodeEntry)
 //	<build-dir>/obj-<module>.wire compiled object (parv object encoding)
 //
 // The manifest records, per module: the phase-1 source hash, the names of
@@ -29,7 +29,6 @@ import (
 	"sort"
 	"strings"
 
-	"ipra/internal/cache"
 	"ipra/internal/ir"
 	"ipra/internal/parv"
 	"ipra/internal/summary"
@@ -129,7 +128,7 @@ func artifactFile(prefix, module string) string {
 			return '_'
 		}
 	}, module)
-	suffix := cache.SourceKey(module, nil, "artifact-name").Hex()[:8]
+	suffix := sourceKey(module, nil, "artifact-name")[:8]
 	return prefix + "-" + sanitized + "-" + suffix + ".wire"
 }
 
@@ -149,7 +148,15 @@ func (s *store) loadPhase1(ms *moduleState) (*ir.Module, *summary.ModuleSummary,
 	if err != nil {
 		return nil, nil, err
 	}
-	return cache.ReadEntryFile(p)
+	data, err := os.ReadFile(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, sum, err := DecodeEntry(data)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", p, err)
+	}
+	return m, sum, nil
 }
 
 // loadObject reads a stored object file.
@@ -164,7 +171,7 @@ func (s *store) loadObject(ms *moduleState) (*parv.Object, error) {
 // writePhase1 persists a phase-1 record and returns its base name.
 func (s *store) writePhase1(module string, m *ir.Module, sum *summary.ModuleSummary) (string, error) {
 	base := artifactFile("p1", module)
-	return base, cache.WriteEntryFile(filepath.Join(s.dir, base), m, sum)
+	return base, os.WriteFile(filepath.Join(s.dir, base), EncodeEntry(m, sum), 0o644)
 }
 
 // writeObject persists an object file and returns its base name.

@@ -115,8 +115,8 @@ type BuildResponse struct {
 	// Incremental summarizes build-dir reuse; nil for stateless builds
 	// and for dedup/result-cache responses.
 	Incremental *IncrementalSummary `json:"incremental,omitempty"`
-	// Counters is the request-scoped telemetry counter snapshot (cache
-	// traffic, rebuild totals, verifier violations, ...). Shared
+	// Counters is the request-scoped telemetry counter snapshot (rebuild
+	// totals, analyzer work, verifier violations, ...). Shared
 	// (dedup) responses carry the leader's counters.
 	Counters map[string]int64 `json:"counters,omitempty"`
 	// ElapsedMS is the server-side wall time of the request.

@@ -5,12 +5,11 @@
 //
 // What stays hot between requests:
 //
-//   - the process-wide phase-1/summary cache (internal/cache), so a
-//     module parsed for one client is never re-parsed for another;
 //   - one persistent incremental build directory per (config, module
 //     name-set) program identity (internal/incremental), so an edited
-//     program gets a minimal rebuild and its analyzer.state carries the
-//     call graph, webs, and clusters forward;
+//     program gets a minimal rebuild — phase 1 re-runs only for changed
+//     modules — and its analyzer.state carries the call graph, webs, and
+//     clusters forward;
 //   - a bounded in-memory result cache mapping request keys to finished
 //     responses, so a byte-identical re-request never compiles at all.
 //

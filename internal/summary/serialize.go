@@ -5,7 +5,7 @@ import "ipra/internal/wire"
 // AppendSummary encodes ms into an in-progress wire body. Summary files
 // on disk stay JSON — they are a human-inspectable interchange format, and
 // Hash/RecordHash are defined over the canonical JSON bytes — but the
-// phase-1 cache entry embeds summaries in the shared wire format, where
+// build directory's phase-1 record embeds summaries in the shared wire format, where
 // they ride along with the IR module in one string table.
 func AppendSummary(e *wire.Encoder, ms *ModuleSummary) {
 	e.Str(ms.Module)

@@ -137,7 +137,7 @@ func newIdentifyState(g *callgraph.Graph, sets *refsets.Sets, lazy bool) *identi
 		off := 0
 		for vi, c := range counts {
 			if c > 0 {
-				st.lrefNodes[vi] = slab[off:off : off+c]
+				st.lrefNodes[vi] = slab[off : off : off+c]
 				off += c
 			}
 		}
@@ -166,7 +166,7 @@ func newIdentifyState(g *callgraph.Graph, sets *refsets.Sets, lazy bool) *identi
 	off := 0
 	for c, n := range sccCounts {
 		if n > 0 {
-			st.sccMembers[c] = sccSlab[off:off : off+n]
+			st.sccMembers[c] = sccSlab[off : off : off+n]
 			off += n
 		}
 	}

@@ -1,6 +1,7 @@
 // Package wire implements the flat, versioned binary format shared by
-// every persistent artifact in the pipeline: phase-1 cache entries,
-// incremental build-dir records, object files, and executable images.
+// every persistent artifact in the pipeline: phase-1 records and the
+// other incremental build-dir records, object files, and executable
+// images.
 //
 // A wire file is a fixed magic string, a kind tag with a per-kind format
 // version, and a sequence of length-prefixed sections:

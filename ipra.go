@@ -35,7 +35,6 @@ import (
 	"sort"
 	"strings"
 
-	"ipra/internal/cache"
 	"ipra/internal/codegen"
 	"ipra/internal/core"
 	"ipra/internal/incremental"
@@ -85,11 +84,6 @@ type Config struct {
 	// computation are module-at-a-time and order-independent (§2, §4.3),
 	// so the output is identical at every setting.
 	Jobs int
-	// DisableCache bypasses the process-wide phase-1/summary cache. The
-	// cache is keyed on module source content, so hits are byte-for-byte
-	// equivalent to recompiling; disable it only to measure cold-compile
-	// costs.
-	DisableCache bool
 }
 
 // analyzerOptions resolves the analyzer options one compile passes to
@@ -285,52 +279,25 @@ func summarizeModule(m *ir.Module) *summary.ModuleSummary {
 	return ms
 }
 
-// phase1Fingerprint versions the cached phase-1 artifacts. It must change
-// whenever the parser, semantic analysis, IR generation, optimizer, or
-// summary computation change meaning; no Config field reaches phase 1
-// today, so the configuration contributes nothing beyond this constant.
+// phase1Fingerprint versions the phase-1 records of an incremental build
+// directory. It must change whenever the parser, semantic analysis, IR
+// generation, optimizer, or summary computation change meaning; no Config
+// field reaches phase 1 today, so the configuration contributes nothing
+// beyond this constant.
 const phase1Fingerprint = "ipra/phase1+summary/v1"
 
-// phase1Cache is the process-wide content-addressed cache. The benchmark
-// harness compiles every program once per configuration (L2 plus the six
-// Table 4 columns, and twice more for the profile-guided ones); all of
-// those runs share identical phase-1 output, which the cache serves as
-// private decoded copies.
-var phase1Cache = cache.New(0)
+// ResetPhase1Cache does nothing: Build keeps no phase-1 state between
+// calls. It remains only because the perfbench harness calls it, and goes
+// with the next benchmark change.
+func ResetPhase1Cache() {}
 
-// CacheStats mirrors the phase-1 cache traffic counters.
-type CacheStats struct {
-	Hits, Misses, Evictions uint64
-	Entries                 int
-}
-
-// Phase1CacheStats returns a snapshot of the process-wide cache counters.
-func Phase1CacheStats() CacheStats {
-	s := phase1Cache.Stats()
-	return CacheStats{Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions, Entries: s.Entries}
-}
-
-// ResetPhase1Cache empties the process-wide cache (tests, cold-compile
-// measurements).
-func ResetPhase1Cache() { phase1Cache.Reset() }
-
-// phase1Module produces one module's phase-1 output and summary, serving
-// both from the cache when the source content has been compiled before.
-// Under telemetry it runs as a "module" span with "frontend" and
-// "summarize" children on the miss path, and ticks the cache counters.
-func phase1Module(ctx context.Context, src Source, cfg Config) (*ir.Module, *summary.ModuleSummary, error) {
+// phase1Module produces one module's phase-1 output and summary. Under
+// telemetry it runs as a "module" span with "frontend" and "summarize"
+// children.
+func phase1Module(ctx context.Context, src Source) (*ir.Module, *summary.ModuleSummary, error) {
 	ctx, span := telemetry.StartSpan(ctx, "module")
 	defer span.End()
 	span.SetStr("module", src.Name)
-	var key cache.Key
-	if !cfg.DisableCache {
-		key = cache.SourceKey(src.Name, src.Text, phase1Fingerprint)
-		if m, ms, ok := phase1Cache.GetCtx(ctx, key); ok {
-			span.SetStr("cache", "hit")
-			return m, ms, nil
-		}
-		span.SetStr("cache", "miss")
-	}
 	_, feSpan := telemetry.StartSpan(ctx, "frontend")
 	m, err := Phase1(src)
 	feSpan.End()
@@ -340,11 +307,6 @@ func phase1Module(ctx context.Context, src Source, cfg Config) (*ir.Module, *sum
 	_, sumSpan := telemetry.StartSpan(ctx, "summarize")
 	ms := summarizeModule(m)
 	sumSpan.End()
-	if !cfg.DisableCache {
-		if err := phase1Cache.PutCtx(ctx, key, m, ms); err != nil {
-			return nil, nil, err
-		}
-	}
 	return m, ms, nil
 }
 
@@ -366,8 +328,8 @@ type buildSettings struct {
 // and F): Build compiles with heuristic call counts, runs the result once
 // on the simulator to collect gprof-style call-edge counts (maxInstrs
 // bounds the training run; 0 uses the simulator default), then re-analyzes
-// and re-compiles with the profile. The training RunResult lands in
-// BuildResult.Train.
+// and re-runs phase 2 with the profile, reusing the training pass's
+// phase-1 output. The training RunResult lands in BuildResult.Train.
 func WithProfile(maxInstrs uint64) BuildOption {
 	return func(s *buildSettings) {
 		s.profiled = true
@@ -401,10 +363,10 @@ func WithBuildDir(dir string) BuildOption {
 
 // WithTelemetry attaches a tracer: every pipeline stage, per-module
 // compile, analyzer stage, and incremental invalidation decision is
-// recorded as a span or event on t, with cache and rebuild counters
-// alongside, and a snapshot lands in BuildResult.Report. Export with
-// t.WriteChromeTrace (chrome://tracing, Perfetto) or t.Report. A tracer
-// already attached to ctx via telemetry.WithTracer works the same way.
+// recorded as a span or event on t, with rebuild counters alongside, and
+// a snapshot lands in BuildResult.Report. Export with t.WriteChromeTrace
+// (chrome://tracing, Perfetto) or t.Report. A tracer already attached to
+// ctx via telemetry.WithTracer works the same way.
 func WithTelemetry(t *telemetry.Tracer) BuildOption {
 	return func(s *buildSettings) { s.tracer = t }
 }
@@ -497,66 +459,47 @@ func Build(ctx context.Context, sources []Source, cfg Config, opts ...BuildOptio
 	return res, nil
 }
 
-// runBuild dispatches one Build under its resolved settings.
+// runBuild runs one Build under its resolved settings: an optional
+// training pass, then the final compile.
 func runBuild(ctx context.Context, sources []Source, cfg Config, s buildSettings, res *BuildResult) error {
-	if s.aggProfile != nil {
+	var train *Program
+	switch {
+	case s.aggProfile != nil:
 		// Externally supplied counts replace the training pass entirely:
-		// one compile against the main build directory, with the profile
-		// wired through the analyzer exactly as a training run's would be.
+		// the profile is wired through the analyzer exactly as a training
+		// run's would be.
 		cfg.Profile = s.aggProfile
-		p, out, err := compileWith(ctx, sources, cfg, s.buildDir, s.stderr)
-		if err != nil {
+	case s.profiled:
+		// Profile-guided (§6.1): compile with heuristic counts, run once
+		// to collect call counts, then re-analyze and re-run phase 2 with
+		// the profile. Incremental builds keep the training pass's state in a
+		// "train" subdirectory, so the profiled directives in the main
+		// store are never churned by the training pass and a no-edit
+		// rebuild of both passes recompiles nothing.
+		trainDir := ""
+		if s.buildDir != "" {
+			trainDir = filepath.Join(s.buildDir, "train")
+		}
+		var err error
+		if train, _, err = compileWith(ctx, sources, cfg, trainDir, s.stderr, nil); err != nil {
 			return err
 		}
 		if s.verify {
-			if err := verifyAnalysis(ctx, p); err != nil {
-				return err
+			if err := verifyAnalysis(ctx, train); err != nil {
+				return fmt.Errorf("training pass: %w", err)
 			}
 		}
-		res.Program, res.Incremental = p, out
-		return nil
-	}
-	if !s.profiled {
-		p, out, err := compileWith(ctx, sources, cfg, s.buildDir, s.stderr)
+		_, runSpan := telemetry.StartSpan(ctx, "train-run")
+		res.Train, err = train.Run(s.trainInstrs, true)
+		runSpan.End()
 		if err != nil {
-			return err
+			return fmt.Errorf("profiling run: %w", err)
 		}
-		if s.verify {
-			if err := verifyAnalysis(ctx, p); err != nil {
-				return err
-			}
-		}
-		res.Program, res.Incremental = p, out
-		return nil
+		cfg.Profile = res.Train.Profile
 	}
-
-	// Profile-guided (§6.1): compile with heuristic counts, run once to
-	// collect call counts, then re-analyze and re-compile with the
-	// profile. Incremental builds keep the training pass's state in a
-	// "train" subdirectory, so the profiled directives in the main store
-	// are never churned by the training pass and a no-edit rebuild of
-	// both passes recompiles nothing.
-	trainDir := ""
-	if s.buildDir != "" {
-		trainDir = filepath.Join(s.buildDir, "train")
-	}
-	first, _, err := compileWith(ctx, sources, cfg, trainDir, s.stderr)
-	if err != nil {
-		return err
-	}
-	if s.verify {
-		if err := verifyAnalysis(ctx, first); err != nil {
-			return fmt.Errorf("training pass: %w", err)
-		}
-	}
-	_, runSpan := telemetry.StartSpan(ctx, "train-run")
-	train, err := first.Run(s.trainInstrs, true)
-	runSpan.End()
-	if err != nil {
-		return fmt.Errorf("profiling run: %w", err)
-	}
-	cfg.Profile = train.Profile
-	p, out, err := compileWith(ctx, sources, cfg, s.buildDir, s.stderr)
+	// Phase 1 depends only on the sources, so the final pass reuses the
+	// training pass's phase-1 output instead of recompiling it.
+	p, out, err := compileWith(ctx, sources, cfg, s.buildDir, s.stderr, train)
 	if err != nil {
 		return err
 	}
@@ -565,50 +508,58 @@ func runBuild(ctx context.Context, sources []Source, cfg Config, s buildSettings
 			return err
 		}
 	}
-	res.Program, res.Train, res.Incremental = p, train, out
+	res.Program, res.Incremental = p, out
 	return nil
 }
 
 // compileWith compiles once: in memory when buildDir is empty, against
-// the persistent build directory otherwise.
-func compileWith(ctx context.Context, sources []Source, cfg Config, buildDir string, explainW io.Writer) (*Program, *incremental.Outcome, error) {
+// the persistent build directory otherwise. A non-nil prior is a program
+// compiled from the same sources whose phase-1 output the compile reuses
+// instead of running phase 1 again.
+func compileWith(ctx context.Context, sources []Source, cfg Config, buildDir string, explainW io.Writer, prior *Program) (*Program, *incremental.Outcome, error) {
 	if buildDir == "" {
-		p, err := compile(ctx, sources, cfg)
+		p, err := compile(ctx, sources, cfg, prior)
 		return p, nil, err
 	}
-	return compileIncremental(ctx, sources, cfg, buildDir, explainW)
+	return compileIncremental(ctx, sources, cfg, buildDir, explainW, prior)
 }
 
 // compile runs the in-memory pipeline over the sources. The first phase,
 // the summary computation, and the second phase all fan out across
 // cfg.Jobs workers; results land in position-indexed slices, so the
 // output is byte-identical to a sequential (Jobs: 1) run.
-func compile(ctx context.Context, sources []Source, cfg Config) (*Program, error) {
+func compile(ctx context.Context, sources []Source, cfg Config, prior *Program) (*Program, error) {
 	ctx, span := telemetry.StartSpan(ctx, "compile")
 	defer span.End()
 	span.SetStr("config", cfg.Name)
 	p := &Program{Config: cfg}
 
-	// ---- Compiler first phase + summaries, modules in parallel.
-	type phase1Out struct {
-		m  *ir.Module
-		ms *summary.ModuleSummary
-	}
-	p1ctx, p1Span := telemetry.StartSpan(ctx, "phase1")
-	front, err := pipeline.MapCtx(p1ctx, cfg.Jobs, sources, func(ctx context.Context, _ int, src Source) (phase1Out, error) {
-		m, ms, err := phase1Module(ctx, src, cfg)
-		if err != nil {
-			return phase1Out{}, fmt.Errorf("%s: %w", src.Name, err)
+	// ---- Compiler first phase + summaries, modules in parallel. Both
+	// are read-only from here on (summaries and phase 2 work on clones),
+	// so a prior program's output is shared, not copied.
+	if prior != nil {
+		p.Modules, p.Summaries = prior.Modules, prior.Summaries
+	} else {
+		type phase1Out struct {
+			m  *ir.Module
+			ms *summary.ModuleSummary
 		}
-		return phase1Out{m: m, ms: ms}, nil
-	})
-	p1Span.End()
-	if err != nil {
-		return nil, err
-	}
-	for _, f := range front {
-		p.Modules = append(p.Modules, f.m)
-		p.Summaries = append(p.Summaries, f.ms)
+		p1ctx, p1Span := telemetry.StartSpan(ctx, "phase1")
+		front, err := pipeline.MapCtx(p1ctx, cfg.Jobs, sources, func(ctx context.Context, _ int, src Source) (phase1Out, error) {
+			m, ms, err := phase1Module(ctx, src)
+			if err != nil {
+				return phase1Out{}, fmt.Errorf("%s: %w", src.Name, err)
+			}
+			return phase1Out{m: m, ms: ms}, nil
+		})
+		p1Span.End()
+		if err != nil {
+			return nil, err
+		}
+		for _, f := range front {
+			p.Modules = append(p.Modules, f.m)
+			p.Summaries = append(p.Summaries, f.ms)
+		}
 	}
 
 	// ---- Program analyzer.
@@ -628,22 +579,22 @@ func compile(ctx context.Context, sources []Source, cfg Config) (*Program, error
 	// the program database is shared read-only).
 	eligible := eligibleMap(p.DB)
 	p2ctx, p2Span := telemetry.StartSpan(ctx, "phase2")
-	p.Objects, err = pipeline.MapCtx(p2ctx, cfg.Jobs, p.Modules, func(ctx context.Context, _ int, m *ir.Module) (*parv.Object, error) {
+	objs, err := pipeline.MapCtx(p2ctx, cfg.Jobs, p.Modules, func(ctx context.Context, _ int, m *ir.Module) (*parv.Object, error) {
 		return phase2Module(ctx, m, p.DB, eligible)
 	})
 	p2Span.End()
 	if err != nil {
 		return nil, err
 	}
+	p.Objects = objs
 
 	// ---- Link.
 	_, linkSpan := telemetry.StartSpan(ctx, "link")
-	exe, err := parv.Link(p.Objects, parv.LinkConfig{DataSize: cfg.DataSize})
+	p.Exe, err = parv.Link(p.Objects, parv.LinkConfig{DataSize: cfg.DataSize})
 	linkSpan.End()
 	if err != nil {
 		return nil, err
 	}
-	p.Exe = exe
 	return p, nil
 }
 
@@ -754,12 +705,24 @@ func ToolchainFingerprint() string { return toolchainFingerprint() }
 // only through the program database, whose directives are diffed directly.
 // Switching configurations over one build directory therefore rebuilds
 // exactly the modules whose directives the switch changes.
-func compileIncremental(ctx context.Context, sources []Source, cfg Config, buildDir string, explainW io.Writer) (*Program, *incremental.Outcome, error) {
+func compileIncremental(ctx context.Context, sources []Source, cfg Config, buildDir string, explainW io.Writer, prior *Program) (*Program, *incremental.Outcome, error) {
 	p := &Program{Config: cfg}
+	// A prior program was compiled from these same sources, so its
+	// phase-1 output is indexed like them.
+	var priorIndex map[string]int
+	if prior != nil {
+		priorIndex = make(map[string]int, len(sources))
+		for i, src := range sources {
+			priorIndex[src.Name] = i
+		}
+	}
 	tc := incremental.Toolchain{
 		Fingerprint: toolchainFingerprint(),
 		Phase1: func(ctx context.Context, name string, text []byte) (*ir.Module, *summary.ModuleSummary, error) {
-			return phase1Module(ctx, Source{Name: name, Text: text}, cfg)
+			if i, ok := priorIndex[name]; ok {
+				return prior.Modules[i], prior.Summaries[i], nil
+			}
+			return phase1Module(ctx, Source{Name: name, Text: text})
 		},
 		Analyze: func(ctx context.Context, sums []*summary.ModuleSummary) (*pdb.Database, error) {
 			if !cfg.UseAnalyzer {

@@ -28,11 +28,10 @@ func determinismConfigs() []Config {
 }
 
 // TestParallelCompileDeterminism checks the tentpole guarantee: a
-// parallel, cache-served Compile produces byte-identical executables and
-// identical analyzer reports to a sequential, cache-bypassing one, for
-// the baseline and every Table 4 configuration.
+// parallel Build produces byte-identical executables and identical
+// analyzer reports to a sequential one, for the baseline and every
+// Table 4 configuration.
 func TestParallelCompileDeterminism(t *testing.T) {
-	ResetPhase1Cache()
 	for _, b := range []string{"dhrystone", "crtool"} {
 		bm, err := benchprogs.ByName(b)
 		if err != nil {
@@ -42,7 +41,6 @@ func TestParallelCompileDeterminism(t *testing.T) {
 		for _, cfg := range determinismConfigs() {
 			seqCfg := cfg
 			seqCfg.Jobs = 1
-			seqCfg.DisableCache = true
 			parCfg := cfg
 			parCfg.Jobs = 8
 
@@ -50,27 +48,22 @@ func TestParallelCompileDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s sequential: %v", b, cfg.Name, err)
 			}
-			// Twice in parallel: the first run fills the cache, the
-			// second is served from it; both must match the sequential
-			// output exactly.
-			for _, label := range []string{"parallel-cold", "parallel-cached"} {
-				par, err := Build(context.Background(), sources, parCfg)
-				if err != nil {
-					t.Fatalf("%s/%s %s: %v", b, cfg.Name, label, err)
-				}
-				if !bytes.Equal(exeBytes(t, seq.Exe), exeBytes(t, par.Exe)) {
-					t.Errorf("%s/%s: %s executable differs from sequential", b, cfg.Name, label)
-				}
-				if !reflect.DeepEqual(seq.Exe, par.Exe) {
-					t.Errorf("%s/%s: %s executable struct differs from sequential", b, cfg.Name, label)
-				}
-				if (seq.Analysis == nil) != (par.Analysis == nil) {
-					t.Fatalf("%s/%s: %s analysis presence differs", b, cfg.Name, label)
-				}
-				if seq.Analysis != nil && seq.Analysis.Report() != par.Analysis.Report() {
-					t.Errorf("%s/%s: %s analyzer report differs:\nseq:\n%spar:\n%s",
-						b, cfg.Name, label, seq.Analysis.Report(), par.Analysis.Report())
-				}
+			par, err := Build(context.Background(), sources, parCfg)
+			if err != nil {
+				t.Fatalf("%s/%s parallel: %v", b, cfg.Name, err)
+			}
+			if !bytes.Equal(exeBytes(t, seq.Exe), exeBytes(t, par.Exe)) {
+				t.Errorf("%s/%s: parallel executable differs from sequential", b, cfg.Name)
+			}
+			if !reflect.DeepEqual(seq.Exe, par.Exe) {
+				t.Errorf("%s/%s: parallel executable struct differs from sequential", b, cfg.Name)
+			}
+			if (seq.Analysis == nil) != (par.Analysis == nil) {
+				t.Fatalf("%s/%s: analysis presence differs", b, cfg.Name)
+			}
+			if seq.Analysis != nil && seq.Analysis.Report() != par.Analysis.Report() {
+				t.Errorf("%s/%s: analyzer report differs:\nseq:\n%spar:\n%s",
+					b, cfg.Name, seq.Analysis.Report(), par.Analysis.Report())
 			}
 		}
 	}
@@ -79,7 +72,6 @@ func TestParallelCompileDeterminism(t *testing.T) {
 // TestParallelCompileProfiledDeterminism covers the profile-guided path
 // (compile, train on the VM, re-analyze, re-compile) the same way.
 func TestParallelCompileProfiledDeterminism(t *testing.T) {
-	ResetPhase1Cache()
 	bm, err := benchprogs.ByName("dhrystone")
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +80,6 @@ func TestParallelCompileProfiledDeterminism(t *testing.T) {
 
 	seqCfg := MustPreset("F")
 	seqCfg.Jobs = 1
-	seqCfg.DisableCache = true
 	seq, err := Build(context.Background(), sources, seqCfg, WithProfile(bm.MaxInstrs))
 	if err != nil {
 		t.Fatal(err)
@@ -111,10 +102,8 @@ func TestParallelCompileProfiledDeterminism(t *testing.T) {
 
 // TestParallelCompileRace saturates the worker pool: every benchmark of
 // the suite compiles concurrently, each itself fanning modules across
-// workers, with the shared cache in play. Run under -race this checks
-// the phase-1/phase-2 concurrency and the cache's locking.
+// workers. Run under -race this checks the phase-1/phase-2 concurrency.
 func TestParallelCompileRace(t *testing.T) {
-	ResetPhase1Cache()
 	suite := benchprogs.All()
 	err := pipeline.ForEach(4, len(suite), func(i int) error {
 		sources := benchSources(t, suite[i])
@@ -124,8 +113,8 @@ func TestParallelCompileRace(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		// Second compile of the same program: exercises concurrent
-		// cache hits while sibling benchmarks still fill theirs.
+		// Second compile of the same program under another
+		// configuration while sibling benchmarks are still compiling.
 		cfg2 := MustPreset("L2")
 		cfg2.Jobs = 8
 		_, err = Build(context.Background(), sources, cfg2)
@@ -133,47 +122,5 @@ func TestParallelCompileRace(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestPhase1CacheReuse checks the cache accounting: the first compile of
-// a program misses once per module, every recompile (any configuration)
-// hits, and cached compiles match uncached ones exactly.
-func TestPhase1CacheReuse(t *testing.T) {
-	ResetPhase1Cache()
-	bm, err := benchprogs.ByName("fgrep")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sources := benchSources(t, bm)
-
-	if _, err := Build(context.Background(), sources, MustPreset("L2")); err != nil {
-		t.Fatal(err)
-	}
-	s := Phase1CacheStats()
-	if s.Misses != uint64(len(sources)) || s.Hits != 0 {
-		t.Fatalf("cold compile: stats = %+v, want %d misses, 0 hits", s, len(sources))
-	}
-
-	cached, err := Build(context.Background(), sources, MustPreset("C"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s = Phase1CacheStats()
-	if s.Hits != uint64(len(sources)) {
-		t.Fatalf("warm compile: stats = %+v, want %d hits", s, len(sources))
-	}
-
-	cold := MustPreset("C")
-	cold.DisableCache = true
-	uncached, err := Build(context.Background(), sources, cold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(exeBytes(t, cached.Exe), exeBytes(t, uncached.Exe)) {
-		t.Error("cache-served compile differs from cold compile")
-	}
-	if s := Phase1CacheStats(); s.Entries != len(sources) {
-		t.Errorf("entries = %d, want %d", s.Entries, len(sources))
 	}
 }

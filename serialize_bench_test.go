@@ -9,7 +9,7 @@ import (
 	"testing"
 
 	"ipra/internal/benchprogs"
-	"ipra/internal/cache"
+	"ipra/internal/incremental"
 	"ipra/internal/ir"
 	"ipra/internal/parv"
 	"ipra/internal/summary"
@@ -23,7 +23,7 @@ type serializeArtifacts struct {
 	summary *summary.ModuleSummary
 	object  *parv.Object
 	exe     *parv.Executable
-	entry   []byte // encoded cache entry for decode benchmarks
+	entry   []byte // encoded phase-1 record for decode benchmarks
 }
 
 var (
@@ -65,11 +65,7 @@ func serializeWorkload(tb testing.TB) *serializeArtifacts {
 			}
 		}
 		arts.summary = summary.SummarizeModule(arts.module)
-		arts.entry, err = cache.EncodeEntry(arts.module, arts.summary)
-		if err != nil {
-			serializeErr = err
-			return
-		}
+		arts.entry = incremental.EncodeEntry(arts.module, arts.summary)
 		serializeArts = arts
 	})
 	if serializeErr != nil {
@@ -78,79 +74,36 @@ func serializeWorkload(tb testing.TB) *serializeArtifacts {
 	return serializeArts
 }
 
-// BenchmarkSerializeEncodeEntry measures encoding a phase-1 cache entry
-// (IR module + summary), the cost every Put pays.
+// BenchmarkSerializeEncodeEntry measures encoding a phase-1 record
+// (IR module + summary), the cost every build-dir phase-1 write pays.
 func BenchmarkSerializeEncodeEntry(b *testing.B) {
 	arts := serializeWorkload(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		data, err := cache.EncodeEntry(arts.module, arts.summary)
-		if err != nil {
-			b.Fatal(err)
-		}
+		data := incremental.EncodeEntry(arts.module, arts.summary)
 		if i == 0 {
 			b.SetBytes(int64(len(data)))
 		}
 	}
 }
 
-// BenchmarkSerializeDecodeEntry measures decoding a phase-1 cache entry,
-// the cost every cache hit pays.
+// BenchmarkSerializeDecodeEntry measures decoding a phase-1 record, the
+// cost every build-dir phase-1 reuse pays.
 func BenchmarkSerializeDecodeEntry(b *testing.B) {
 	arts := serializeWorkload(b)
 	b.SetBytes(int64(len(arts.entry)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := cache.DecodeEntry(arts.entry); err != nil {
+		if _, _, err := incremental.DecodeEntry(arts.entry); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkSerializePutFull measures Put into a cache at capacity, where
-// every insertion encodes the entry and evicts a victim.
-func BenchmarkSerializePutFull(b *testing.B) {
-	arts := serializeWorkload(b)
-	c := cache.New(64)
-	keyOf := func(i int) cache.Key {
-		return cache.SourceKey(arts.module.Name, nil, string(rune('a'+i%128)))
-	}
-	for i := 0; i < 64; i++ {
-		if err := c.Put(keyOf(i), arts.module, arts.summary); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.Put(keyOf(i), arts.module, arts.summary); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSerializeGetHit measures a cache hit, which decodes the stored
-// bytes into private copies.
-func BenchmarkSerializeGetHit(b *testing.B) {
-	arts := serializeWorkload(b)
-	c := cache.New(4)
-	k := cache.SourceKey(arts.module.Name, nil, "get-hit")
-	if err := c.Put(k, arts.module, arts.summary); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, ok := c.Get(k); !ok {
-			b.Fatal("unexpected miss")
-		}
-	}
-}
-
-// BenchmarkSerializeModuleClone measures the deep copy every compilation
-// makes of a cached module.
+// BenchmarkSerializeModuleClone measures the deep copy phase 2 and the
+// summary computation make of a phase-1 module.
 func BenchmarkSerializeModuleClone(b *testing.B) {
 	arts := serializeWorkload(b)
 	b.ReportAllocs()

@@ -162,9 +162,8 @@ func requireNested(t *testing.T, byName map[string][]*chromeEvent, parent, child
 // profile-guided ConfigF build must export a well-formed Chrome
 // trace-event JSON with properly nested spans for both compiler phases,
 // the summary computation, every analyzer stage, and the link, alongside
-// cache hit/miss counters.
+// the analyzer's counters.
 func TestTracedBuildChromeTrace(t *testing.T) {
-	ResetPhase1Cache()
 	cfg := MustPreset("F")
 	cfg.Jobs = 4
 
@@ -198,16 +197,21 @@ func TestTracedBuildChromeTrace(t *testing.T) {
 	for _, stage := range []string{"phase1", "analyze", "phase2", "link"} {
 		requireNested(t, byName, "compile", stage)
 	}
-	// Per-module spans: 2 modules x 2 passes in each compiler phase.
-	if n := len(byName["module"]); n != 8 {
-		t.Errorf("module spans = %d, want 8 (2 modules x 2 phases x 2 passes)", n)
+	// Per-module spans: 2 modules in phase 1 of the training pass, and 2
+	// in phase 2 of each pass.
+	if n := len(byName["module"]); n != 6 {
+		t.Errorf("module spans = %d, want 6 (2 modules x (1 phase-1 + 2 phase-2 passes))", n)
 	}
-	// The summary computation and frontend run per module on the miss
-	// pass only.
+	// The frontend and summary computation run per module in the training
+	// pass only: phase 1 depends only on the sources, so the final pass
+	// reuses the training pass's phase-1 output.
 	requireNested(t, byName, "module", "frontend")
 	requireNested(t, byName, "module", "summarize")
+	if n := len(byName["frontend"]); n != 2 {
+		t.Errorf("frontend spans = %d, want 2 (the final pass reuses the training pass's phase 1)", n)
+	}
 	if n := len(byName["summarize"]); n != 2 {
-		t.Errorf("summarize spans = %d, want 2 (second pass is served from cache)", n)
+		t.Errorf("summarize spans = %d, want 2 (the final pass reuses the training pass's phase 1)", n)
 	}
 
 	// Every analyzer stage nests inside the analyze span.
@@ -215,13 +219,6 @@ func TestTracedBuildChromeTrace(t *testing.T) {
 		requireNested(t, byName, "analyze", stage)
 	}
 
-	// Cache counters: the training pass misses cold, the final pass hits.
-	if counters["cache.misses"] != 2 {
-		t.Errorf("cache.misses = %v, want 2", counters["cache.misses"])
-	}
-	if counters["cache.hits"] != 2 {
-		t.Errorf("cache.hits = %v, want 2", counters["cache.hits"])
-	}
 	for _, c := range []string{"analyzer.webs", "analyzer.webs_colored"} {
 		if _, ok := counters[c]; !ok {
 			t.Errorf("counter %q missing from trace", c)
@@ -235,8 +232,8 @@ func TestTracedBuildChromeTrace(t *testing.T) {
 	if res.Report.Find("build") == nil {
 		t.Error("report has no build span")
 	}
-	if res.Report.Counters["cache.hits"] != 2 {
-		t.Errorf("report cache.hits = %d, want 2", res.Report.Counters["cache.hits"])
+	if got, want := res.Report.Counters["analyzer.webs"], counters["analyzer.webs"]; float64(got) != want {
+		t.Errorf("report analyzer.webs = %d, trace has %v", got, want)
 	}
 	var rbuf bytes.Buffer
 	if err := res.Report.WriteJSON(&rbuf); err != nil {
@@ -244,6 +241,53 @@ func TestTracedBuildChromeTrace(t *testing.T) {
 	}
 	if !json.Valid(rbuf.Bytes()) {
 		t.Error("report JSON does not parse")
+	}
+}
+
+// TestBuildKeepsNoStateAcrossCalls pins that Build keeps no phase-1
+// state between calls: two identical builds each run the frontend and the
+// summary computation once per module. A profiled build into an empty
+// build directory runs them once per module in total, because its final
+// pass takes the training pass's phase-1 output through the build-dir
+// phase-1 hook.
+func TestBuildKeepsNoStateAcrossCalls(t *testing.T) {
+	sources := tracedProgram()
+	traced := func(t *testing.T, cfg Config, opts ...BuildOption) (*BuildResult, map[string][]*chromeEvent) {
+		t.Helper()
+		tr := telemetry.New()
+		res, err := Build(context.Background(), sources, cfg, append(opts, WithTelemetry(tr))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := tr.WriteChromeTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		byName, _ := validateTrace(t, buf.Bytes())
+		return res, byName
+	}
+
+	for build := 1; build <= 2; build++ {
+		_, byName := traced(t, MustPreset("C"))
+		for _, name := range []string{"frontend", "summarize"} {
+			if n := len(byName[name]); n != len(sources) {
+				t.Errorf("build %d: %s spans = %d, want %d (one per module)", build, name, n, len(sources))
+			}
+		}
+	}
+
+	res, byName := traced(t, MustPreset("F"), WithProfile(10_000_000), WithBuildDir(t.TempDir()))
+	for _, name := range []string{"frontend", "summarize"} {
+		if n := len(byName[name]); n != len(sources) {
+			t.Errorf("profiled build-dir build: %s spans = %d, want %d (phase 1 once per module)", name, n, len(sources))
+		}
+	}
+	clean, err := Build(context.Background(), sources, MustPreset("F"), WithProfile(10_000_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(exeBytes(t, clean.Exe), exeBytes(t, res.Exe)) {
+		t.Error("profiled build-dir build differs from the clean profiled build")
 	}
 }
 
@@ -257,7 +301,6 @@ func TestTracedParallelBuildDeterminism(t *testing.T) {
 
 	seqCfg := MustPreset("C")
 	seqCfg.Jobs = 1
-	seqCfg.DisableCache = true
 	seq, err := Build(context.Background(), sources, seqCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +308,6 @@ func TestTracedParallelBuildDeterminism(t *testing.T) {
 
 	parCfg := MustPreset("C")
 	parCfg.Jobs = 8
-	parCfg.DisableCache = true
 	tr := telemetry.New()
 	par, err := Build(context.Background(), sources, parCfg, WithTelemetry(tr))
 	if err != nil {
@@ -294,7 +336,7 @@ func TestDisabledTelemetryZeroAllocOnBuildPath(t *testing.T) {
 		sctx, span := telemetry.StartSpan(ctx, "phase1")
 		span.SetStr("module", "main.mc")
 		span.SetInt("jobs", 8)
-		telemetry.Count(sctx, "cache.hits", 1)
+		telemetry.Count(sctx, "incremental.analyzer_incremental", 1)
 		ev := telemetry.Event(sctx, "invalidate-phase1")
 		ev.SetStr("reason", "source changed")
 		ev.End()
@@ -311,7 +353,6 @@ func TestDisabledTelemetryZeroAllocOnBuildPath(t *testing.T) {
 func BenchmarkCompileParallelTraced(b *testing.B) {
 	sources := tracedProgram()
 	cfg := MustPreset("C")
-	cfg.DisableCache = true
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

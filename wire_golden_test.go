@@ -9,7 +9,7 @@ import (
 	"reflect"
 	"testing"
 
-	"ipra/internal/cache"
+	"ipra/internal/incremental"
 	"ipra/internal/ir"
 	"ipra/internal/parv"
 	"ipra/internal/summary"
@@ -77,7 +77,7 @@ func goldenModule() *ir.Module {
 		Funcs: []*ir.Func{f, leaf},
 		Globals: []*ir.Global{
 			{Name: "m:g", Module: "m", Size: 8, Init: []byte{1, 0, 2, 0, 0, 0, 0, 0},
-				Relocs: []ir.Reloc{{Offset: 4, Target: "m:g", Addend: -4}},
+				Relocs:  []ir.Reloc{{Offset: 4, Target: "m:g", Addend: -4}},
 				Defined: true, Scalar: false},
 			{Name: "m:s", Module: "m", Size: 4, Init: []byte{}, Defined: true, Static: true, Scalar: true},
 			{Name: "ext:v", Module: "ext", Size: 4, Scalar: true, AddrTaken: true}, // nil Init: extern
@@ -156,17 +156,13 @@ func goldenExe() *parv.Executable {
 // goldenFixtures returns the canonical encoding of each fixture value,
 // keyed by its fixture file name.
 func goldenFixtures(t testing.TB) map[string][]byte {
-	entry, err := cache.EncodeEntry(goldenModule(), goldenSummary())
-	if err != nil {
-		t.Fatal(err)
-	}
 	var exeBuf bytes.Buffer
 	if err := parv.EncodeExecutable(&exeBuf, goldenExe()); err != nil {
 		t.Fatal(err)
 	}
 	return map[string][]byte{
 		"module-v1.bin":      ir.EncodeModule(goldenModule()),
-		"cache-entry-v1.bin": entry,
+		"cache-entry-v1.bin": incremental.EncodeEntry(goldenModule(), goldenSummary()),
 		"object-v1.bin":      parv.EncodeObject(goldenObject()),
 		"exe-v1.bin":         exeBuf.Bytes(),
 	}
@@ -222,12 +218,12 @@ func TestWireGoldenDecodes(t *testing.T) {
 		t.Error("module fixture decodes to a different value")
 	}
 
-	em, es, err := cache.DecodeEntry(read("cache-entry-v1.bin"))
+	em, es, err := incremental.DecodeEntry(read("cache-entry-v1.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(em, goldenModule()) || !reflect.DeepEqual(es, goldenSummary()) {
-		t.Error("cache entry fixture decodes to a different value")
+		t.Error("phase-1 record fixture decodes to a different value")
 	}
 
 	o, err := parv.DecodeObject(read("object-v1.bin"))
@@ -328,15 +324,11 @@ func FuzzWireModuleDecode(f *testing.F) {
 func FuzzWireCacheEntryDecode(f *testing.F) {
 	seedWireFuzz(f, "cache-entry-v1.bin")
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, ms, err := cache.DecodeEntry(data)
+		m, ms, err := incremental.DecodeEntry(data)
 		if err != nil {
 			return
 		}
-		enc, err := cache.EncodeEntry(m, ms)
-		if err != nil {
-			t.Fatalf("re-encode of accepted input failed: %v", err)
-		}
-		if _, _, err := cache.DecodeEntry(enc); err != nil {
+		if _, _, err := incremental.DecodeEntry(incremental.EncodeEntry(m, ms)); err != nil {
 			t.Fatalf("re-decode of accepted input failed: %v", err)
 		}
 	})
