@@ -194,3 +194,19 @@ func TestBuildWithStderr(t *testing.T) {
 		t.Error("WithStderr received no explain output")
 	}
 }
+
+// TestBuildRejectsDuplicateModuleNames pins that module names are
+// distinct in every Build: two sources named a.mc are an error with or
+// without a build directory, worded as the build's own error.
+func TestBuildRejectsDuplicateModuleNames(t *testing.T) {
+	sources := []Source{
+		src("a.mc", "int f(); int main() { return f(); }"),
+		src("a.mc", "int f() { return 3; }"),
+	}
+	for _, dir := range []string{"", t.TempDir()} {
+		_, err := Build(context.Background(), sources, MustPreset("C"), WithBuildDir(dir))
+		if want := `duplicate module name "a.mc"`; err == nil || err.Error() != want {
+			t.Errorf("build dir %q: err = %v, want %q", dir, err, want)
+		}
+	}
+}

@@ -42,9 +42,7 @@ import (
 
 	"ipra"
 	"ipra/internal/cliutil"
-	"ipra/internal/codegen"
 	"ipra/internal/ir"
-	"ipra/internal/opt"
 	"ipra/internal/parv"
 	"ipra/internal/pdb"
 	"ipra/internal/pipeline"
@@ -158,25 +156,12 @@ func runPhase2(files []string, pdbPath, outDir string, jobs int) error {
 			return err
 		}
 	}
-	eligible := make(map[string]bool)
-	for _, g := range db.EligibleGlobals {
-		eligible[g] = true
-	}
 	lines, err := pipeline.Map(jobs, files, func(_ int, f string) (string, error) {
 		m, err := ir.ReadFile(f)
 		if err != nil {
 			return "", err
 		}
-		for _, fn := range m.Funcs {
-			dir := db.Lookup(fn.Name)
-			skip := make(map[string]bool)
-			for _, pg := range dir.Promoted {
-				skip[pg.Name] = true
-			}
-			opt.ApplyWebDirectives(fn, dir.Promoted)
-			opt.Level2(fn, eligible, skip)
-		}
-		obj, err := codegen.Compile(m, db)
+		obj, err := ipra.Phase2(m, db)
 		if err != nil {
 			return "", err
 		}

@@ -20,10 +20,14 @@
 // modules, summaries, database, objects, and executable as a clean build
 // of the same sources — reuse is pure memoization, never approximation.
 //
+// Build is the only pipeline driver: with an empty build directory it
+// runs the same phases with no store — nothing is read or written, every
+// module is compiled, and no directive hash or analyzer state is computed.
+//
 // The engine is toolchain-agnostic: callers inject the compiler phases as
-// a Toolchain of hooks (the ipra package wires its phase helpers in from
-// Build's WithBuildDir path), which also keeps this package free of an
-// import cycle with the driver above it.
+// a Toolchain of hooks (the ipra package wires its phase helpers in for
+// every ipra.Build, with or without WithBuildDir), which also keeps this
+// package free of an import cycle with the driver above it.
 package incremental
 
 import (
@@ -33,6 +37,7 @@ import (
 	"sort"
 	"strings"
 
+	"ipra/internal/core"
 	"ipra/internal/ir"
 	"ipra/internal/parv"
 	"ipra/internal/pdb"
@@ -41,9 +46,9 @@ import (
 	"ipra/internal/telemetry"
 )
 
-// Source is one module's name and source text.
+// Source is one module (compilation unit).
 type Source struct {
-	Name string
+	Name string // module name, e.g. "main.mc"
 	Text []byte
 }
 
@@ -60,16 +65,16 @@ type Toolchain struct {
 	// Phase1 parses, checks, and lowers one module, returning the IR and
 	// its summary record. The context carries the build's telemetry.
 	Phase1 func(ctx context.Context, name string, text []byte) (*ir.Module, *summary.ModuleSummary, error)
-	// Analyze runs the program analyzer over the merged summary set.
-	Analyze func(ctx context.Context, sums []*summary.ModuleSummary) (*pdb.Database, error)
-	// AnalyzeIncremental, when non-nil, replaces Analyze: it receives the
-	// modules whose phase 1 re-ran (a sound superset of the changed
-	// summaries) and the previously persisted analyzer state, and returns
-	// the database, the refreshed state to persist (nil to persist
-	// nothing), and a reuse record. The database must be byte-identical to
-	// what Analyze would return — the engine treats analyzer reuse as pure
-	// memoization, exactly like its own phase caches.
-	AnalyzeIncremental func(ctx context.Context, sums []*summary.ModuleSummary, dirty []string, prevState []byte) (*pdb.Database, []byte, *AnalyzerReuse, error)
+	// Analyze runs the program analyzer over the merged summary set. It
+	// receives the modules whose phase 1 re-ran (a sound superset of the
+	// changed summaries), the previously persisted analyzer state (nil when
+	// none), and whether the driver will persist the state it returns. It
+	// returns the database, the refreshed state to persist (nil to persist
+	// nothing; a hook told keepState=false should not build any), and a
+	// reuse record (nil when it kept no state). The database must be
+	// byte-identical to a full analysis's — the engine treats analyzer
+	// reuse as pure memoization, exactly like its own phase caches.
+	Analyze func(ctx context.Context, sums []*summary.ModuleSummary, dirty []string, prevState []byte, keepState bool) (*pdb.Database, []byte, *core.ReuseStats, error)
 	// Phase2 returns the per-module second-phase compiler for a database
 	// (the closure lets the caller precompute database-wide state, e.g.
 	// the eligibility set, once per build).
@@ -85,21 +90,6 @@ type Options struct {
 	// Explain, when non-nil, receives one line per module explaining why
 	// it was or wasn't rebuilt, plus a summary line.
 	Explain io.Writer
-}
-
-// AnalyzerReuse records what the incremental program analyzer reused for
-// one build (toolchain-level mirror of the analyzer's own reuse stats,
-// kept here so this package needs no import of the analyzer).
-type AnalyzerReuse struct {
-	// Fallback names why a full analysis ran ("" when the incremental
-	// path succeeded).
-	Fallback     string
-	DirtyModules int
-	WebsReused   int
-	WebsRebuilt  int
-	// ClustersRebuilt reports whether spill-motion clusters were
-	// re-identified rather than reused.
-	ClustersRebuilt bool
 }
 
 // Action records what Build did for one module and why.
@@ -123,8 +113,9 @@ type Outcome struct {
 	Actions                        []Action
 	Phase1Rebuilds, Phase2Rebuilds int
 	// Analyzer reports what the incremental program analyzer reused; nil
-	// when the toolchain has no AnalyzeIncremental hook.
-	Analyzer *AnalyzerReuse
+	// when the Analyze hook kept no state (no build directory, or no
+	// analyzer pass).
+	Analyzer *core.ReuseStats
 	// StateReset is true when an existing build directory's state was
 	// rejected (format/toolchain fingerprint mismatch or corruption).
 	StateReset bool
@@ -132,7 +123,10 @@ type Outcome struct {
 
 // Build runs a minimal rebuild of sources against the build directory,
 // updating the stored state on success. On error the store is left
-// untouched, so a failed build never poisons later ones.
+// untouched, so a failed build never poisons later ones. With an empty
+// dir it runs the same phases with no store: every module is compiled
+// (reason "no build directory"), and nothing is read, hashed, or written.
+// Module names must be distinct.
 //
 // The context carries the build's telemetry: each stage runs under its
 // own span, every invalidation decision is recorded as an instant event
@@ -148,7 +142,7 @@ func Build(ctx context.Context, dir string, sources []Source, tc Toolchain, opts
 	seen := make(map[string]bool, len(sources))
 	for _, src := range sources {
 		if seen[src.Name] {
-			return nil, fmt.Errorf("incremental: duplicate module name %q", src.Name)
+			return nil, fmt.Errorf("duplicate module name %q", src.Name)
 		}
 		seen[src.Name] = true
 	}
@@ -171,7 +165,9 @@ func Build(ctx context.Context, dir string, sources []Source, tc Toolchain, opts
 	err = pipeline.ForEachCtx(p1ctx, opts.Jobs, len(sources), func(ctx context.Context, i int) error {
 		src := sources[i]
 		out.Actions[i].Module = src.Name
-		hashes[i] = sourceKey(src.Name, src.Text, tc.Fingerprint)
+		if st.persistent() {
+			hashes[i] = sourceKey(src.Name, src.Text, tc.Fingerprint)
+		}
 
 		reason := ""
 		prev := st.prev.Modules[src.Name]
@@ -210,63 +206,54 @@ func Build(ctx context.Context, dir string, sources []Source, tc Toolchain, opts
 	}
 
 	// ---- Program analyzer: always re-run on the merged summary set (it
-	// needs the whole program). With an AnalyzeIncremental hook, the
-	// persisted analyzer state lets the run rebuild only the slices the
-	// phase-1 rebuilds invalidated.
-	var analyzerState []byte
-	var prevAnalyzerState []byte
-	var db *pdb.Database
-	if tc.AnalyzeIncremental != nil {
-		var dirty []string
-		for i := range out.Actions {
-			if out.Actions[i].Phase1Rebuilt {
-				dirty = append(dirty, out.Actions[i].Module)
-			}
+	// needs the whole program). In a build directory, the persisted
+	// analyzer state lets the run rebuild only the slices the phase-1
+	// rebuilds invalidated.
+	var dirty []string
+	for i := range out.Actions {
+		if out.Actions[i].Phase1Rebuilt {
+			dirty = append(dirty, out.Actions[i].Module)
 		}
-		prevAnalyzerState = st.loadAnalyzerState()
-		var reuse *AnalyzerReuse
-		db, analyzerState, reuse, err = tc.AnalyzeIncremental(ctx, out.Summaries, dirty, prevAnalyzerState)
-		out.Analyzer = reuse
-		if reuse != nil {
-			if reuse.Fallback == "" {
-				telemetry.Count(ctx, "incremental.analyzer_incremental", 1)
-			} else {
-				telemetry.Count(ctx, "incremental.analyzer_fallbacks", 1)
-			}
-		}
-	} else {
-		db, err = tc.Analyze(ctx, out.Summaries)
 	}
+	prevAnalyzerState := st.loadAnalyzerState()
+	db, analyzerState, reuse, err := tc.Analyze(ctx, out.Summaries, dirty, prevAnalyzerState, st.persistent())
 	if err != nil {
 		return nil, err
 	}
-	out.DB = db
+	out.DB, out.Analyzer = db, reuse
+	if reuse != nil {
+		if reuse.Fallback == "" {
+			telemetry.Count(ctx, "incremental.analyzer_incremental", 1)
+		} else {
+			telemetry.Count(ctx, "incremental.analyzer_fallbacks", 1)
+		}
+	}
 
-	// ---- Directive diff: decide phase 2 per module.
+	// ---- Directive diff: decide phase 2 per module. Modules whose phase 1
+	// re-ran recompile regardless, so only the reused ones are hashed here.
 	dctx, diffSpan := telemetry.StartSpan(ctx, "diff")
-	eligibleHash := db.EligibleHash()
+	var eligibleHash string
+	if st.persistent() {
+		eligibleHash = db.EligibleHash()
+	}
 	directives := make([]map[string]string, len(sources))
 	for i, m := range out.Modules {
-		consulted := consultedProcs(m)
-		hashesOf := make(map[string]string, len(consulted))
-		for _, proc := range consulted {
-			hashesOf[proc] = db.Lookup(proc).DirectiveHash()
-		}
-		directives[i] = hashesOf
-
 		a := &out.Actions[i]
+		if a.Phase1Rebuilt {
+			a.Phase2Rebuilt, a.Phase2Reason = true, a.Phase1Reason
+			continue
+		}
+		directives[i] = directiveHashes(db, m)
 		prev := st.prev.Modules[m.Name]
 		switch {
-		case a.Phase1Rebuilt:
-			a.Phase2Rebuilt, a.Phase2Reason = true, a.Phase1Reason
 		case prev.EligibleHash != eligibleHash:
 			a.Phase2Rebuilt, a.Phase2Reason = true, "eligible globals changed"
 		default:
-			if changed := diffDirectives(prev.Directives, hashesOf); len(changed) > 0 {
+			if changed := diffDirectives(prev.Directives, directives[i]); len(changed) > 0 {
 				a.Phase2Rebuilt, a.Phase2Reason = true, "directives changed: "+strings.Join(changed, ", ")
 			}
 		}
-		if a.Phase2Rebuilt && !a.Phase1Rebuilt {
+		if a.Phase2Rebuilt {
 			// Phase-1 rebuilds already logged their decision; these are the
 			// pure directive-driven invalidations the diff discovered.
 			ev := telemetry.Event(dctx, "invalidate-phase2")
@@ -311,43 +298,11 @@ func Build(ctx context.Context, dir string, sources []Source, tc Toolchain, opts
 	}
 	out.Exe = exe
 
-	// ---- Persist the new state: fresh artifacts for rebuilt modules,
-	// carried-over records for reused ones, then the manifest (atomically;
-	// unreferenced artifacts are pruned).
-	_, persistSpan := telemetry.StartSpan(ctx, "persist")
-	next := manifest{Modules: make(map[string]*moduleState, len(sources))}
-	for i, src := range sources {
-		a := out.Actions[i]
-		ms := &moduleState{
-			SourceHash:   hashes[i],
-			EligibleHash: eligibleHash,
-			Directives:   directives[i],
-		}
-		if a.Phase1Rebuilt {
-			if ms.Phase1File, err = st.writePhase1(src.Name, out.Modules[i], out.Summaries[i]); err != nil {
-				return nil, err
-			}
-		} else {
-			ms.Phase1File = st.prev.Modules[src.Name].Phase1File
-		}
-		if a.Phase2Rebuilt {
-			if ms.ObjectFile, err = st.writeObject(src.Name, out.Objects[i]); err != nil {
-				return nil, err
-			}
-		} else {
-			ms.ObjectFile = st.prev.Modules[src.Name].ObjectFile
-		}
-		next.Modules[src.Name] = ms
-	}
-	if err := st.save(next); err != nil {
-		return nil, err
-	}
-	if analyzerState != nil {
-		if err := st.saveAnalyzerState(next, analyzerState, prevAnalyzerState); err != nil {
+	if st.persistent() {
+		if err := persist(ctx, st, out, hashes, eligibleHash, directives, analyzerState, prevAnalyzerState); err != nil {
 			return nil, err
 		}
 	}
-	persistSpan.End()
 
 	for _, a := range out.Actions {
 		if a.Phase1Rebuilt {
@@ -369,6 +324,61 @@ func Build(ctx context.Context, dir string, sources []Source, tc Toolchain, opts
 		explain(opts.Explain, st, out)
 	}
 	return out, nil
+}
+
+// persist stores the new state: fresh artifacts for rebuilt modules,
+// carried-over records for reused ones, then the manifest (atomically;
+// unreferenced artifacts are pruned) and the analyzer state. directives
+// holds the hashes the diff already computed; the rest are computed here.
+func persist(ctx context.Context, st *store, out *Outcome, hashes []string, eligibleHash string, directives []map[string]string, analyzerState, prevAnalyzerState []byte) error {
+	_, span := telemetry.StartSpan(ctx, "persist")
+	defer span.End()
+	next := manifest{Modules: make(map[string]*moduleState, len(out.Actions))}
+	for i, a := range out.Actions {
+		if directives[i] == nil {
+			directives[i] = directiveHashes(out.DB, out.Modules[i])
+		}
+		ms := &moduleState{
+			SourceHash:   hashes[i],
+			EligibleHash: eligibleHash,
+			Directives:   directives[i],
+		}
+		prev := st.prev.Modules[a.Module]
+		var err error
+		if a.Phase1Rebuilt {
+			if ms.Phase1File, err = st.writePhase1(a.Module, out.Modules[i], out.Summaries[i]); err != nil {
+				return err
+			}
+		} else {
+			ms.Phase1File = prev.Phase1File
+		}
+		if a.Phase2Rebuilt {
+			if ms.ObjectFile, err = st.writeObject(a.Module, out.Objects[i]); err != nil {
+				return err
+			}
+		} else {
+			ms.ObjectFile = prev.ObjectFile
+		}
+		next.Modules[a.Module] = ms
+	}
+	if err := st.save(next); err != nil {
+		return err
+	}
+	if analyzerState != nil {
+		return st.saveAnalyzerState(next, analyzerState, prevAnalyzerState)
+	}
+	return nil
+}
+
+// directiveHashes hashes the directives of every procedure the module's
+// phase 2 consults (see consultedProcs).
+func directiveHashes(db *pdb.Database, m *ir.Module) map[string]string {
+	consulted := consultedProcs(m)
+	hashes := make(map[string]string, len(consulted))
+	for _, proc := range consulted {
+		hashes[proc] = db.Lookup(proc).DirectiveHash()
+	}
+	return hashes
 }
 
 // diffDirectives returns the sorted names of procedures whose directive

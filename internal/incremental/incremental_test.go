@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"ipra/internal/core"
 	"ipra/internal/ir"
 	"ipra/internal/parv"
 	"ipra/internal/pdb"
@@ -47,7 +48,7 @@ func (ft *fakeToolchain) toolchain() Toolchain {
 			}
 			return m, ms, nil
 		},
-		Analyze: func(_ context.Context, sums []*summary.ModuleSummary) (*pdb.Database, error) {
+		Analyze: func(_ context.Context, sums []*summary.ModuleSummary, _ []string, _ []byte, _ bool) (*pdb.Database, []byte, *core.ReuseStats, error) {
 			db := pdb.New()
 			for _, s := range sums {
 				for _, p := range s.Procs {
@@ -60,7 +61,7 @@ func (ft *fakeToolchain) toolchain() Toolchain {
 					db.Procs[p.Name] = d
 				}
 			}
-			return db, nil
+			return db, nil, nil, nil
 		},
 		Phase2: func(_ context.Context, db *pdb.Database) func(context.Context, *ir.Module) (*parv.Object, error) {
 			return func(_ context.Context, m *ir.Module) (*parv.Object, error) {
@@ -412,17 +413,17 @@ func TestDiffDirectives(t *testing.T) {
 	}
 }
 
-// withAnalyzerHook wraps a fake toolchain with an AnalyzeIncremental hook
-// that records the state it was offered and persists a recognizable blob.
+// withAnalyzerHook wraps a fake toolchain with an Analyze hook that
+// records the state it was offered and persists a recognizable blob.
 func withAnalyzerHook(tc Toolchain, gotPrev *[][]byte) Toolchain {
 	analyze := tc.Analyze
-	tc.AnalyzeIncremental = func(ctx context.Context, sums []*summary.ModuleSummary, dirty []string, prevState []byte) (*pdb.Database, []byte, *AnalyzerReuse, error) {
+	tc.Analyze = func(ctx context.Context, sums []*summary.ModuleSummary, dirty []string, prevState []byte, keepState bool) (*pdb.Database, []byte, *core.ReuseStats, error) {
 		*gotPrev = append(*gotPrev, prevState)
-		db, err := analyze(ctx, sums)
+		db, _, _, err := analyze(ctx, sums, dirty, prevState, keepState)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		reuse := &AnalyzerReuse{DirtyModules: len(dirty), WebsReused: len(db.Procs)}
+		reuse := &core.ReuseStats{DirtyModules: len(dirty), WebsReused: len(db.Procs)}
 		if prevState == nil {
 			reuse.Fallback = "no analyzer state"
 		}
@@ -477,8 +478,8 @@ func TestAnalyzerStatePersistence(t *testing.T) {
 		t.Errorf("edited build: DirtyModules = %d, want 1", out.Analyzer.DirtyModules)
 	}
 
-	// A build through a toolchain without the hook — an older binary —
-	// advances the manifest without refreshing analyzer.state. The stored
+	// A build through a toolchain whose hook keeps no state — an older
+	// binary — advances the manifest without refreshing analyzer.state. The stored
 	// state now belongs to a different manifest generation and must be
 	// dropped, not offered.
 	older := twoModules()

@@ -64,7 +64,8 @@ type manifest struct {
 	Modules     map[string]*moduleState `json:"modules"`
 }
 
-// store wraps one opened build directory.
+// store wraps one opened build directory; with an empty dir it is the
+// empty, non-persistent store of a build without one.
 type store struct {
 	dir         string
 	fingerprint string
@@ -77,19 +78,21 @@ type store struct {
 }
 
 // openStore loads the build directory's manifest, rejecting state written
-// under a different format or toolchain fingerprint.
+// under a different format or toolchain fingerprint. An empty dir opens
+// the empty store, which touches no file.
 func openStore(dir, toolchainFingerprint string) (*store, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("incremental: empty build directory path")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("incremental: %w", err)
-	}
 	s := &store{
 		dir:         dir,
 		fingerprint: FormatVersion + "|" + toolchainFingerprint,
 	}
 	s.prev.Modules = make(map[string]*moduleState)
+	if dir == "" {
+		s.resetReason = "no build directory"
+		return s, nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("incremental: %w", err)
+	}
 
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	switch {
@@ -115,6 +118,9 @@ func openStore(dir, toolchainFingerprint string) (*store, error) {
 	}
 	return s, nil
 }
+
+// persistent reports whether the store is backed by a build directory.
+func (s *store) persistent() bool { return s.dir != "" }
 
 // artifactFile derives the stable artifact base name for a module. The
 // sanitized module name keeps the directory browsable; the name-hash
@@ -181,7 +187,7 @@ func (s *store) writeObject(module string, o *parv.Object) (string, error) {
 }
 
 // analyzerStateName is the persisted analyzer state file. Its content is
-// opaque to this package (the AnalyzeIncremental hook owns the format); a
+// opaque to this package (the Analyze hook owns the format); a
 // small header binds it to the manifest it was saved alongside, so state
 // from any other manifest generation — including one written by an older
 // binary that did not know about this file — is never trusted.
@@ -211,6 +217,9 @@ func manifestDigest(m manifest) string {
 // loadAnalyzerState returns the stored analyzer state bytes, or nil when
 // absent, unreadable, or bound to a different manifest generation.
 func (s *store) loadAnalyzerState() []byte {
+	if !s.persistent() {
+		return nil
+	}
 	data, err := os.ReadFile(filepath.Join(s.dir, analyzerStateName))
 	if err != nil {
 		return nil

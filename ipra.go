@@ -51,11 +51,10 @@ import (
 	"ipra/internal/verify"
 )
 
-// Source is one MiniC module (compilation unit).
-type Source struct {
-	Name string // module name, e.g. "main.mc"
-	Text []byte
-}
+// Source is one MiniC module (compilation unit): its name, e.g.
+// "main.mc", and its source text. Module names within one build must be
+// distinct.
+type Source = incremental.Source
 
 // Config selects a compilation strategy.
 type Config struct {
@@ -234,6 +233,15 @@ func Phase1(src Source) (*ir.Module, error) {
 	return irm, nil
 }
 
+// Phase2 runs the compiler second phase on one module under a program
+// database: apply the database's directives, optimize, and generate an
+// object. It never mutates m. Modules compile independently and in any
+// order (§4.3); linking their objects in source order reproduces Build's
+// executable for the same database.
+func Phase2(m *ir.Module, db *pdb.Database) (*parv.Object, error) {
+	return phase2Module(context.Background(), m, db, eligibleMap(db))
+}
+
 // Summaries produces the summary file contents for each module, fanning
 // the independent per-module work across CPUs. Following the prototype
 // described in §6, the first phase optimizes scratch copies before
@@ -355,8 +363,9 @@ func WithAggregatedProfile(p *parv.Profile) BuildOption {
 // for modules whose source or consumed directives changed. The output is
 // byte-identical to a from-scratch Build; the rebuild record lands in
 // BuildResult.Incremental. Profile-guided builds keep their training pass
-// in a "train" subdirectory so repeat builds skip it too. An empty dir
-// disables the option.
+// in a "train" subdirectory so repeat builds skip it too. Every Build runs
+// the same incremental driver; without a build directory (or with an
+// empty dir) it compiles every module and reads and writes nothing.
 func WithBuildDir(dir string) BuildOption {
 	return func(s *buildSettings) { s.buildDir = dir }
 }
@@ -372,7 +381,8 @@ func WithTelemetry(t *telemetry.Tracer) BuildOption {
 }
 
 // WithStderr directs diagnostic output — the incremental driver's
-// per-module rebuild explanations — to w.
+// per-module rebuild explanations — to w. Without a build directory
+// every module reads "recompiled (no build directory)".
 func WithStderr(w io.Writer) BuildOption {
 	return func(s *buildSettings) { s.stderr = w }
 }
@@ -481,7 +491,7 @@ func runBuild(ctx context.Context, sources []Source, cfg Config, s buildSettings
 			trainDir = filepath.Join(s.buildDir, "train")
 		}
 		var err error
-		if train, _, err = compileWith(ctx, sources, cfg, trainDir, s.stderr, nil); err != nil {
+		if train, _, err = compile(ctx, sources, cfg, trainDir, s.stderr, nil); err != nil {
 			return err
 		}
 		if s.verify {
@@ -499,7 +509,7 @@ func runBuild(ctx context.Context, sources []Source, cfg Config, s buildSettings
 	}
 	// Phase 1 depends only on the sources, so the final pass reuses the
 	// training pass's phase-1 output instead of recompiling it.
-	p, out, err := compileWith(ctx, sources, cfg, s.buildDir, s.stderr, train)
+	p, out, err := compile(ctx, sources, cfg, s.buildDir, s.stderr, train)
 	if err != nil {
 		return err
 	}
@@ -510,92 +520,6 @@ func runBuild(ctx context.Context, sources []Source, cfg Config, s buildSettings
 	}
 	res.Program, res.Incremental = p, out
 	return nil
-}
-
-// compileWith compiles once: in memory when buildDir is empty, against
-// the persistent build directory otherwise. A non-nil prior is a program
-// compiled from the same sources whose phase-1 output the compile reuses
-// instead of running phase 1 again.
-func compileWith(ctx context.Context, sources []Source, cfg Config, buildDir string, explainW io.Writer, prior *Program) (*Program, *incremental.Outcome, error) {
-	if buildDir == "" {
-		p, err := compile(ctx, sources, cfg, prior)
-		return p, nil, err
-	}
-	return compileIncremental(ctx, sources, cfg, buildDir, explainW, prior)
-}
-
-// compile runs the in-memory pipeline over the sources. The first phase,
-// the summary computation, and the second phase all fan out across
-// cfg.Jobs workers; results land in position-indexed slices, so the
-// output is byte-identical to a sequential (Jobs: 1) run.
-func compile(ctx context.Context, sources []Source, cfg Config, prior *Program) (*Program, error) {
-	ctx, span := telemetry.StartSpan(ctx, "compile")
-	defer span.End()
-	span.SetStr("config", cfg.Name)
-	p := &Program{Config: cfg}
-
-	// ---- Compiler first phase + summaries, modules in parallel. Both
-	// are read-only from here on (summaries and phase 2 work on clones),
-	// so a prior program's output is shared, not copied.
-	if prior != nil {
-		p.Modules, p.Summaries = prior.Modules, prior.Summaries
-	} else {
-		type phase1Out struct {
-			m  *ir.Module
-			ms *summary.ModuleSummary
-		}
-		p1ctx, p1Span := telemetry.StartSpan(ctx, "phase1")
-		front, err := pipeline.MapCtx(p1ctx, cfg.Jobs, sources, func(ctx context.Context, _ int, src Source) (phase1Out, error) {
-			m, ms, err := phase1Module(ctx, src)
-			if err != nil {
-				return phase1Out{}, fmt.Errorf("%s: %w", src.Name, err)
-			}
-			return phase1Out{m: m, ms: ms}, nil
-		})
-		p1Span.End()
-		if err != nil {
-			return nil, err
-		}
-		for _, f := range front {
-			p.Modules = append(p.Modules, f.m)
-			p.Summaries = append(p.Summaries, f.ms)
-		}
-	}
-
-	// ---- Program analyzer.
-	if cfg.UseAnalyzer {
-		res, err := core.Analyze(ctx, p.Summaries, cfg.analyzerOptions())
-		if err != nil {
-			return nil, err
-		}
-		p.Analysis = res
-		p.DB = res.DB
-	} else {
-		p.DB = pdb.New()
-		p.DB.EligibleGlobals = eligibleFromSummaries(p.Summaries)
-	}
-
-	// ---- Compiler second phase, modules in parallel (order-independent;
-	// the program database is shared read-only).
-	eligible := eligibleMap(p.DB)
-	p2ctx, p2Span := telemetry.StartSpan(ctx, "phase2")
-	objs, err := pipeline.MapCtx(p2ctx, cfg.Jobs, p.Modules, func(ctx context.Context, _ int, m *ir.Module) (*parv.Object, error) {
-		return phase2Module(ctx, m, p.DB, eligible)
-	})
-	p2Span.End()
-	if err != nil {
-		return nil, err
-	}
-	p.Objects = objs
-
-	// ---- Link.
-	_, linkSpan := telemetry.StartSpan(ctx, "link")
-	p.Exe, err = parv.Link(p.Objects, parv.LinkConfig{DataSize: cfg.DataSize})
-	linkSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
 }
 
 // eligibleMap converts the database's eligibility list into the lookup set
@@ -631,11 +555,7 @@ func phase2Module(ctx context.Context, m *ir.Module, db *pdb.Database, eligible 
 		opt.ApplyWebDirectives(f, dir.Promoted)
 		opt.Level2(f, eligible, skip)
 	}
-	obj, err := codegen.Compile(work, db)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", m.Name, err)
-	}
-	return obj, nil
+	return codegen.Compile(work, db)
 }
 
 // eligibleFromSummaries computes program-wide promotion eligibility for the
@@ -692,20 +612,28 @@ func toolchainFingerprint() string {
 // equal fingerprints produce byte-identical output for identical inputs.
 func ToolchainFingerprint() string { return toolchainFingerprint() }
 
-// compileIncremental is compile backed by a persistent build directory:
-// it recompiles phase 1 only for modules whose source changed, re-runs
-// the program analyzer on the merged summary set, recompiles phase 2 only
-// for modules whose source or consumed directives changed, and relinks
-// from stored plus fresh objects. The result is byte-identical to compile
-// on the same sources and configuration — reuse is pure memoization — and
-// the returned Outcome records what was rebuilt and why.
+// compile runs the pipeline once through the incremental driver: against
+// the persistent build directory when buildDir is set, with no store
+// otherwise. In a build directory it recompiles phase 1 only for modules
+// whose source changed, re-runs the program analyzer on the merged summary
+// set, recompiles phase 2 only for modules whose source or consumed
+// directives changed, and relinks from stored plus fresh objects; reuse is
+// pure memoization, so the result is byte-identical to a build without
+// one. Both phases fan out across cfg.Jobs workers into position-indexed
+// slices, so the output is also byte-identical to a sequential (Jobs: 1)
+// run. A non-nil prior is a program compiled from the same sources whose
+// phase-1 output the compile reuses instead of running phase 1 again. The
+// returned Outcome is nil without a build directory.
 //
 // The configuration needs no fingerprint of its own in the build state:
 // nothing in Config reaches phase 1, and phase 2 sees the configuration
 // only through the program database, whose directives are diffed directly.
 // Switching configurations over one build directory therefore rebuilds
 // exactly the modules whose directives the switch changes.
-func compileIncremental(ctx context.Context, sources []Source, cfg Config, buildDir string, explainW io.Writer, prior *Program) (*Program, *incremental.Outcome, error) {
+func compile(ctx context.Context, sources []Source, cfg Config, buildDir string, explainW io.Writer, prior *Program) (*Program, *incremental.Outcome, error) {
+	ctx, span := telemetry.StartSpan(ctx, "compile")
+	defer span.End()
+	span.SetStr("config", cfg.Name)
 	p := &Program{Config: cfg}
 	// A prior program was compiled from these same sources, so its
 	// phase-1 output is indexed like them.
@@ -724,36 +652,24 @@ func compileIncremental(ctx context.Context, sources []Source, cfg Config, build
 			}
 			return phase1Module(ctx, Source{Name: name, Text: text})
 		},
-		Analyze: func(ctx context.Context, sums []*summary.ModuleSummary) (*pdb.Database, error) {
+		Analyze: func(ctx context.Context, sums []*summary.ModuleSummary, dirty []string, prevState []byte, keepState bool) (*pdb.Database, []byte, *core.ReuseStats, error) {
 			if !cfg.UseAnalyzer {
 				db := pdb.New()
 				db.EligibleGlobals = eligibleFromSummaries(sums)
-				return db, nil
+				return db, nil, nil, nil
 			}
-			res, err := core.Analyze(ctx, sums, cfg.analyzerOptions())
-			if err != nil {
-				return nil, err
-			}
-			p.Analysis = res
-			return res.DB, nil
-		},
-		Phase2: func(ctx context.Context, db *pdb.Database) func(ctx context.Context, m *ir.Module) (*parv.Object, error) {
-			eligible := eligibleMap(db)
-			return func(ctx context.Context, m *ir.Module) (*parv.Object, error) {
-				return phase2Module(ctx, m, db, eligible)
-			}
-		},
-		Link: func(ctx context.Context, objs []*parv.Object) (*parv.Executable, error) {
-			return parv.Link(objs, parv.LinkConfig{DataSize: cfg.DataSize})
-		},
-	}
-	if cfg.UseAnalyzer {
-		// With the analyzer on, replace the full Analyze with the
-		// incremental entry point: decode whatever state the build
-		// directory held (an unreadable blob just means a full analysis),
-		// analyze reusing it, and hand back the refreshed encoding.
-		tc.AnalyzeIncremental = func(ctx context.Context, sums []*summary.ModuleSummary, dirty []string, prevState []byte) (*pdb.Database, []byte, *incremental.AnalyzerReuse, error) {
 			o := cfg.analyzerOptions()
+			if !keepState {
+				res, err := core.Analyze(ctx, sums, o)
+				if err != nil {
+					return nil, nil, nil, err
+				}
+				p.Analysis = res
+				return res.DB, nil, nil, nil
+			}
+			// Decode whatever state the build directory held (an
+			// unreadable blob just means a full analysis), analyze reusing
+			// it, and hand back the refreshed encoding.
 			var prev *core.State
 			if len(prevState) > 0 {
 				if s, err := core.DecodeState(prevState); err == nil {
@@ -769,20 +685,19 @@ func compileIncremental(ctx context.Context, sources []Source, cfg Config, build
 			if st != nil && st.Unsupported() == "" {
 				state = st.Encode()
 			}
-			return res.DB, state, &incremental.AnalyzerReuse{
-				Fallback:        rs.Fallback,
-				DirtyModules:    rs.DirtyModules,
-				WebsReused:      rs.WebsReused,
-				WebsRebuilt:     rs.WebsRebuilt,
-				ClustersRebuilt: rs.ClustersRebuilt,
-			}, nil
-		}
+			return res.DB, state, rs, nil
+		},
+		Phase2: func(ctx context.Context, db *pdb.Database) func(ctx context.Context, m *ir.Module) (*parv.Object, error) {
+			eligible := eligibleMap(db)
+			return func(ctx context.Context, m *ir.Module) (*parv.Object, error) {
+				return phase2Module(ctx, m, db, eligible)
+			}
+		},
+		Link: func(ctx context.Context, objs []*parv.Object) (*parv.Executable, error) {
+			return parv.Link(objs, parv.LinkConfig{DataSize: cfg.DataSize})
+		},
 	}
-	srcs := make([]incremental.Source, len(sources))
-	for i, s := range sources {
-		srcs[i] = incremental.Source{Name: s.Name, Text: s.Text}
-	}
-	out, err := incremental.Build(ctx, buildDir, srcs, tc, incremental.Options{Jobs: cfg.Jobs, Explain: explainW})
+	out, err := incremental.Build(ctx, buildDir, sources, tc, incremental.Options{Jobs: cfg.Jobs, Explain: explainW})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -791,6 +706,9 @@ func compileIncremental(ctx context.Context, sources []Source, cfg Config, build
 	p.DB = out.DB
 	p.Objects = out.Objects
 	p.Exe = out.Exe
+	if buildDir == "" {
+		out = nil
+	}
 	return p, out, nil
 }
 

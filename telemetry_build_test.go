@@ -291,6 +291,46 @@ func TestBuildKeepsNoStateAcrossCalls(t *testing.T) {
 	}
 }
 
+// TestNoBuildDirDoesNoPersistenceWork pins that a Build without a build
+// directory runs the driver with no store: no persist span, and the
+// analyzer keeps no incremental state (so no invalidate-analyzer event
+// for its missing state). Every module's phase-1 invalidation names the
+// missing directory. The same build into a directory records both.
+func TestNoBuildDirDoesNoPersistenceWork(t *testing.T) {
+	for _, dir := range []string{"", t.TempDir()} {
+		tr := telemetry.New()
+		res, err := Build(context.Background(), tracedProgram(), MustPreset("C"), WithBuildDir(dir), WithTelemetry(tr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := tr.WriteChromeTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		byName, _ := validateTrace(t, buf.Bytes())
+		want := 1
+		if dir == "" {
+			want = 0
+			if n, m := len(byName["invalidate-phase1"]), len(tracedProgram()); n != m {
+				t.Errorf("no-dir build: invalidate-phase1 events = %d, want %d", n, m)
+			}
+			for _, ev := range byName["invalidate-phase1"] {
+				if r := ev.Args["reason"]; r != "no build directory" {
+					t.Errorf("no-dir build: invalidate-phase1 reason = %v, want \"no build directory\"", r)
+				}
+			}
+		}
+		if (res.Incremental != nil) != (dir != "") {
+			t.Errorf("build dir %q: Incremental = %+v", dir, res.Incremental)
+		}
+		for _, name := range []string{"persist", "invalidate-analyzer"} {
+			if n := len(byName[name]); n != want {
+				t.Errorf("build dir %q: %s events = %d, want %d", dir, name, n, want)
+			}
+		}
+	}
+}
+
 // TestTracedParallelBuildDeterminism runs a traced wide-parallel build
 // and an untraced sequential build of the same program and requires
 // byte-identical executables: telemetry must never perturb output, and

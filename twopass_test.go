@@ -1,14 +1,13 @@
 package ipra
 
 import (
+	"bytes"
 	"context"
 	"path/filepath"
 	"testing"
 
-	"ipra/internal/codegen"
 	"ipra/internal/core"
 	"ipra/internal/ir"
-	"ipra/internal/opt"
 	"ipra/internal/parv"
 	"ipra/internal/pdb"
 	"ipra/internal/summary"
@@ -20,11 +19,12 @@ import (
 //	phase 1:  source -> .ir (intermediate) + .sum (summary) per module
 //	analyzer: all .sum -> program database file
 //	phase 2:  each .ir + database -> object, in ARBITRARY module order
-//	link + run
+//	link (objects in source order) + run
 //
 // The point of the paper's organization is that phase 2 is order
 // independent and module-at-a-time; this test compiles the modules in
-// reverse order from a cold start (files only).
+// reverse order from a cold start (files only), and the linked result must
+// be byte-identical to the one-call Build under the same configuration.
 func TestTwoPassFileBasedPipeline(t *testing.T) {
 	dir := t.TempDir()
 	sources := []Source{
@@ -86,30 +86,15 @@ int add(int x) { total += x; return total; }
 	if err != nil {
 		t.Fatal(err)
 	}
-	eligible := map[string]bool{}
-	for _, g := range db.EligibleGlobals {
-		eligible[g] = true
-	}
-	var objs []*parv.Object
+	objs := make([]*parv.Object, len(irPaths))
 	for i := len(irPaths) - 1; i >= 0; i-- {
 		m, err := ir.ReadFile(irPaths[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, fn := range m.Funcs {
-			d := db.Lookup(fn.Name)
-			skip := map[string]bool{}
-			for _, pg := range d.Promoted {
-				skip[pg.Name] = true
-			}
-			opt.ApplyWebDirectives(fn, d.Promoted)
-			opt.Level2(fn, eligible, skip)
-		}
-		obj, err := codegen.Compile(m, db)
-		if err != nil {
+		if objs[i], err = Phase2(m, db); err != nil {
 			t.Fatal(err)
 		}
-		objs = append(objs, obj)
 	}
 
 	exe, err := parv.Link(objs, parv.LinkConfig{})
@@ -132,16 +117,12 @@ int add(int x) { total += x; return total; }
 			"module boundary did not take effect", vm.Stats.SingletonRefs())
 	}
 
-	// Same program through the in-memory driver agrees.
-	p2, err := Build(context.Background(), sources, MustPreset("C"))
+	// The same program through Build is byte-identical.
+	built, err := Build(context.Background(), sources, MustPreset("C"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := p2.Run(10_000_000, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Exit != exit {
-		t.Errorf("file pipeline exit %d != in-memory exit %d", exit, r2.Exit)
+	if !bytes.Equal(exeBytes(t, exe), exeBytes(t, built.Exe)) {
+		t.Error("file pipeline executable differs from Build's")
 	}
 }
