@@ -4,17 +4,21 @@
 // The paper's scheme pays for cross-module allocation with recompilation:
 // whenever the program database changes, the compiler second phase must
 // re-run. But phase 2 is module-at-a-time and order-independent, and each
-// module consumes only a small slice of the database — the directives of
-// its own procedures and of its direct callees, plus the program-wide
-// eligibility list. This package makes the edit-recompile loop
-// proportional to what changed:
+// module consumes only a small slice of the database, its phase-2 view:
+// the directives of its own procedures, the clobber sets of its direct
+// callees, and the eligibility of the globals it loads and stores. This
+// package makes the edit-recompile loop proportional to what changed:
 //
 //	hash sources            → phase-1-recompile only changed modules
 //	re-run the analyzer     → always (it is whole-program and cheap)
-//	diff the database       → against stored per-procedure directive hashes
-//	phase-2-recompile       → only modules whose sources or consumed
-//	                          directives changed
+//	diff the database       → against each module's stored view
+//	phase-2-recompile       → only modules whose sources or views changed
 //	relink                  → from stored + fresh objects
+//
+// Every phase-2 recompile is attributed to the kind of fact that caused
+// it — source, directives (of a procedure the module defines), clobber
+// (of a procedure it calls) or eligible (globals) — in the -explain reason
+// and the incremental.invalidate_cause.* counters.
 //
 // The load-bearing invariant: an incremental rebuild produces the same
 // modules, summaries, database, objects, and executable as a clean build
@@ -22,7 +26,7 @@
 //
 // Build is the only pipeline driver: with an empty build directory it
 // runs the same phases with no store — nothing is read or written, every
-// module is compiled, and no directive hash or analyzer state is computed.
+// module is compiled, and no view or analyzer state is computed.
 //
 // The engine is toolchain-agnostic: callers inject the compiler phases as
 // a Toolchain of hooks (the ipra package wires its phase helpers in for
@@ -131,8 +135,9 @@ type Outcome struct {
 // The context carries the build's telemetry: each stage runs under its
 // own span, every invalidation decision is recorded as an instant event
 // naming the module and the reason, and the rebuild/reuse totals land on
-// the tracer's counters (incremental.phase1_rebuilds, ..._reused, and the
-// phase-2 pair).
+// the tracer's counters (incremental.phase1_rebuilds, ..._reused, the
+// phase-2 pair, and one incremental.invalidate_cause.<kind> per module
+// and kind of changed fact).
 func Build(ctx context.Context, dir string, sources []Source, tc Toolchain, opts Options) (*Outcome, error) {
 	ctx, span := telemetry.StartSpan(ctx, "incremental")
 	defer span.End()
@@ -179,6 +184,7 @@ func Build(ctx context.Context, dir string, sources []Source, tc Toolchain, opts
 			}
 		case prev.SourceHash != hashes[i]:
 			reason = "source changed"
+			telemetry.Count(ctx, "incremental.invalidate_cause.source", 1)
 		default:
 			m, ms, err := st.loadPhase1(prev)
 			if err == nil {
@@ -229,31 +235,42 @@ func Build(ctx context.Context, dir string, sources []Source, tc Toolchain, opts
 		}
 	}
 
-	// ---- Directive diff: decide phase 2 per module. Modules whose phase 1
-	// re-ran recompile regardless, so only the reused ones are hashed here.
+	// ---- Directive diff: decide phase 2 per module from the phase-2
+	// views (see moduleView). Modules whose phase 1 re-ran recompile
+	// regardless, so only the reused ones are viewed here.
 	dctx, diffSpan := telemetry.StartSpan(ctx, "diff")
-	var eligibleHash string
+	var eligible map[string]bool
 	if st.persistent() {
-		eligibleHash = db.EligibleHash()
+		eligible = make(map[string]bool, len(db.EligibleGlobals))
+		for _, g := range db.EligibleGlobals {
+			eligible[g] = true
+		}
 	}
-	directives := make([]map[string]string, len(sources))
+	views := make([]*view, len(sources))
 	for i, m := range out.Modules {
 		a := &out.Actions[i]
 		if a.Phase1Rebuilt {
 			a.Phase2Rebuilt, a.Phase2Reason = true, a.Phase1Reason
 			continue
 		}
-		directives[i] = directiveHashes(db, m)
+		views[i] = moduleView(db, eligible, m)
 		prev := st.prev.Modules[m.Name]
-		switch {
-		case prev.EligibleHash != eligibleHash:
-			a.Phase2Rebuilt, a.Phase2Reason = true, "eligible globals changed"
-		default:
-			if changed := diffDirectives(prev.Directives, directives[i]); len(changed) > 0 {
-				a.Phase2Rebuilt, a.Phase2Reason = true, "directives changed: "+strings.Join(changed, ", ")
+		var causes []string
+		for _, c := range [...]struct {
+			counter, reason string
+			changed         []string
+		}{
+			{"incremental.invalidate_cause.directives", "directives changed: ", diffDirectives(prev.Directives, views[i].directives)},
+			{"incremental.invalidate_cause.clobber", "callee clobber changed: ", diffDirectives(prev.Clobbers, views[i].clobbers)},
+			{"incremental.invalidate_cause.eligible", "eligible globals changed: ", diffSorted(prev.Eligible, views[i].eligible)},
+		} {
+			if len(c.changed) > 0 {
+				causes = append(causes, c.reason+strings.Join(c.changed, ", "))
+				telemetry.Count(dctx, c.counter, 1)
 			}
 		}
-		if a.Phase2Rebuilt {
+		if len(causes) > 0 {
+			a.Phase2Rebuilt, a.Phase2Reason = true, strings.Join(causes, "; ")
 			// Phase-1 rebuilds already logged their decision; these are the
 			// pure directive-driven invalidations the diff discovered.
 			ev := telemetry.Event(dctx, "invalidate-phase2")
@@ -299,7 +316,7 @@ func Build(ctx context.Context, dir string, sources []Source, tc Toolchain, opts
 	out.Exe = exe
 
 	if st.persistent() {
-		if err := persist(ctx, st, out, hashes, eligibleHash, directives, analyzerState, prevAnalyzerState); err != nil {
+		if err := persist(ctx, st, out, hashes, eligible, views, analyzerState, prevAnalyzerState); err != nil {
 			return nil, err
 		}
 	}
@@ -328,20 +345,22 @@ func Build(ctx context.Context, dir string, sources []Source, tc Toolchain, opts
 
 // persist stores the new state: fresh artifacts for rebuilt modules,
 // carried-over records for reused ones, then the manifest (atomically;
-// unreferenced artifacts are pruned) and the analyzer state. directives
-// holds the hashes the diff already computed; the rest are computed here.
-func persist(ctx context.Context, st *store, out *Outcome, hashes []string, eligibleHash string, directives []map[string]string, analyzerState, prevAnalyzerState []byte) error {
+// unreferenced artifacts are pruned) and the analyzer state. views holds
+// what the diff already computed; the rest are computed here.
+func persist(ctx context.Context, st *store, out *Outcome, hashes []string, eligible map[string]bool, views []*view, analyzerState, prevAnalyzerState []byte) error {
 	_, span := telemetry.StartSpan(ctx, "persist")
 	defer span.End()
 	next := manifest{Modules: make(map[string]*moduleState, len(out.Actions))}
 	for i, a := range out.Actions {
-		if directives[i] == nil {
-			directives[i] = directiveHashes(out.DB, out.Modules[i])
+		v := views[i]
+		if v == nil {
+			v = moduleView(out.DB, eligible, out.Modules[i])
 		}
 		ms := &moduleState{
-			SourceHash:   hashes[i],
-			EligibleHash: eligibleHash,
-			Directives:   directives[i],
+			SourceHash: hashes[i],
+			Directives: v.directives,
+			Clobbers:   v.clobbers,
+			Eligible:   v.eligible,
 		}
 		prev := st.prev.Modules[a.Module]
 		var err error
@@ -370,20 +389,56 @@ func persist(ctx context.Context, st *store, out *Outcome, hashes []string, elig
 	return nil
 }
 
-// directiveHashes hashes the directives of every procedure the module's
-// phase 2 consults (see consultedProcs).
-func directiveHashes(db *pdb.Database, m *ir.Module) map[string]string {
-	consulted := consultedProcs(m)
-	hashes := make(map[string]string, len(consulted))
-	for _, proc := range consulted {
-		hashes[proc] = db.Lookup(proc).DirectiveHash()
-	}
-	return hashes
+// view is every program-database fact one module's phase 2 reads (§4.3):
+// the directives of the functions it defines, the clobber sets of the
+// procedures it calls directly (codegen reads nothing else of a callee,
+// §7.6.2; indirect calls assume the worst case), and the eligibility of
+// the globals it loads and stores (opt.PromoteGlobals reads it only
+// there, and a module-local static is named by no other module). Phase 2
+// is a pure function of the phase-1 module and its view, so equal views
+// mean an equal object.
+type view struct {
+	directives map[string]string // own function -> ViewHash(OwnView)
+	clobbers   map[string]string // direct callee -> ViewHash(CalleeView)
+	eligible   []string          // referenced globals eligible for promotion, sorted
 }
 
-// diffDirectives returns the sorted names of procedures whose directive
-// hashes differ between the stored and current maps (including procedures
-// present on only one side).
+// moduleView computes the module's view of db in one walk over its
+// phase-1 IR; eligible is the database's eligibility list as a set.
+// Optimization before phase 2's database reads only removes calls and
+// memory operands, so the walk finds a sound superset of what phase 2
+// consults.
+func moduleView(db *pdb.Database, eligible map[string]bool, m *ir.Module) *view {
+	v := &view{
+		directives: make(map[string]string, len(m.Funcs)),
+		clobbers:   make(map[string]string),
+	}
+	seen := make(map[string]bool)
+	for _, f := range m.Funcs {
+		v.directives[f.Name] = db.Lookup(f.Name).ViewHash(pdb.OwnView)
+		for _, b := range f.Blocks {
+			for i := range b.Instrs {
+				switch in := &b.Instrs[i]; {
+				case in.Op == ir.Call && !in.IndirectCall:
+					if _, ok := v.clobbers[in.Callee]; !ok {
+						v.clobbers[in.Callee] = db.Lookup(in.Callee).ViewHash(pdb.CalleeView)
+					}
+				case (in.Op == ir.Load || in.Op == ir.Store) && in.Mem.Kind == ir.MemGlobal:
+					if g := in.Mem.Sym; eligible[g] && !seen[g] {
+						seen[g] = true
+						v.eligible = append(v.eligible, g)
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(v.eligible)
+	return v
+}
+
+// diffDirectives returns the sorted names whose view hashes differ
+// between the stored and current maps (including names present on only
+// one side).
 func diffDirectives(prev, cur map[string]string) []string {
 	var changed []string
 	for name, h := range cur {
@@ -400,30 +455,20 @@ func diffDirectives(prev, cur map[string]string) []string {
 	return changed
 }
 
-// consultedProcs lists every procedure whose database directives the
-// module's phase-2 compilation may read: the module's own functions (their
-// promotions and register sets) and its direct callees (their published
-// clobber sets, §7.6.2). The scan runs on the phase-1 IR, before
-// optimization; optimization only ever removes calls, so this is a sound
-// superset of what phase 2 actually consults.
-func consultedProcs(m *ir.Module) []string {
-	set := make(map[string]bool)
-	for _, f := range m.Funcs {
-		set[f.Name] = true
-		for _, b := range f.Blocks {
-			for i := range b.Instrs {
-				if in := &b.Instrs[i]; in.Op == ir.Call && !in.IndirectCall {
-					set[in.Callee] = true
-				}
-			}
+// diffSorted returns the names in exactly one of two sorted lists.
+func diffSorted(prev, cur []string) []string {
+	var changed []string
+	for len(prev) > 0 || len(cur) > 0 {
+		switch {
+		case len(cur) == 0 || len(prev) > 0 && prev[0] < cur[0]:
+			changed, prev = append(changed, prev[0]), prev[1:]
+		case len(prev) == 0 || cur[0] < prev[0]:
+			changed, cur = append(changed, cur[0]), cur[1:]
+		default:
+			prev, cur = prev[1:], cur[1:]
 		}
 	}
-	out := make([]string, 0, len(set))
-	for name := range set {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return changed
 }
 
 // explain writes the per-module rebuild record in module order, preceded

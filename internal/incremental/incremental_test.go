@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -16,18 +18,23 @@ import (
 	"ipra/internal/ir"
 	"ipra/internal/parv"
 	"ipra/internal/pdb"
+	"ipra/internal/regs"
 	"ipra/internal/summary"
+	"ipra/internal/telemetry"
 )
 
 // fakeToolchain is a miniature deterministic toolchain over a toy source
-// format: each line of source text reads "funcname" or "funcname>callee".
+// format: each word of source text reads "funcname", "funcname>callee"
+// (a direct call) or "funcname@global" (a load of a global).
 // It counts invocations so tests can assert exactly which phases re-ran,
-// and exposes a promotion knob so tests can change directives without
-// changing sources.
+// and exposes promotion and clobber knobs so tests can change directives
+// without changing sources.
 type fakeToolchain struct {
 	phase1Calls, phase2Calls atomic.Int64
 	phase2Modules            []string // names compiled by phase 2 (mutex-free: Jobs=1 in tests)
 	promote                  map[string]uint8
+	clobber                  map[string]regs.Set
+	eligible                 []string
 }
 
 func (ft *fakeToolchain) toolchain() Toolchain {
@@ -39,9 +46,13 @@ func (ft *fakeToolchain) toolchain() Toolchain {
 			ms := &summary.ModuleSummary{Module: name}
 			for _, line := range strings.Fields(string(text)) {
 				fn, callee, _ := strings.Cut(line, ">")
+				fn, global, _ := strings.Cut(fn, "@")
 				f := &ir.Func{Name: fn, Module: name, Blocks: []*ir.Block{{}}}
 				if callee != "" {
 					f.Blocks[0].Instrs = append(f.Blocks[0].Instrs, ir.Instr{Op: ir.Call, Callee: callee})
+				}
+				if global != "" {
+					f.Blocks[0].Instrs = append(f.Blocks[0].Instrs, ir.Instr{Op: ir.Load, Mem: ir.MemRef{Kind: ir.MemGlobal, Sym: global}})
 				}
 				m.Funcs = append(m.Funcs, f)
 				ms.Procs = append(ms.Procs, summary.ProcRecord{Name: fn, Module: name})
@@ -50,6 +61,7 @@ func (ft *fakeToolchain) toolchain() Toolchain {
 		},
 		Analyze: func(_ context.Context, sums []*summary.ModuleSummary, _ []string, _ []byte, _ bool) (*pdb.Database, []byte, *core.ReuseStats, error) {
 			db := pdb.New()
+			db.EligibleGlobals = ft.eligible
 			for _, s := range sums {
 				for _, p := range s.Procs {
 					d := pdb.Standard(p.Name)
@@ -57,6 +69,9 @@ func (ft *fakeToolchain) toolchain() Toolchain {
 						d.Caller = d.Caller.Remove(r)
 						d.Callee = d.Callee.Remove(r)
 						d.Promoted = []pdb.PromotedGlobal{{Name: "g", Reg: r}}
+					}
+					if c, ok := ft.clobber[p.Name]; ok {
+						d.HasClobber, d.ClobberAtCalls = true, c
 					}
 					db.Procs[p.Name] = d
 				}
@@ -70,16 +85,24 @@ func (ft *fakeToolchain) toolchain() Toolchain {
 				o := &parv.Object{Module: m.Name}
 				for _, f := range m.Funcs {
 					// The "code" depends on the function's own directives,
-					// like real phase 2 output does.
+					// its direct callees' clobber sets and the eligibility
+					// of the globals it loads, like real phase 2 output
+					// does.
 					d := db.Lookup(f.Name)
 					var reg uint8
 					if len(d.Promoted) > 0 {
 						reg = d.Promoted[0].Reg
 					}
-					o.Funcs = append(o.Funcs, &parv.ObjFunc{
-						Name: f.Name,
-						Code: []parv.Instr{{Op: parv.LDI, Rd: reg}},
-					})
+					code := []parv.Instr{{Op: parv.LDI, Rd: reg}}
+					for _, in := range f.Blocks[0].Instrs {
+						if c := db.Lookup(in.Callee); in.Op == ir.Call && c.HasClobber {
+							code = append(code, parv.Instr{Op: parv.BL, Imm: int32(c.ClobberAtCalls)})
+						}
+						if in.Op == ir.Load && slices.Contains(db.EligibleGlobals, in.Mem.Sym) {
+							code = append(code, parv.Instr{Op: parv.MOV})
+						}
+					}
+					o.Funcs = append(o.Funcs, &parv.ObjFunc{Name: f.Name, Code: code})
 				}
 				return o, nil
 			}
@@ -178,36 +201,118 @@ func TestSourceEditRebuildsOnlyEditedModule(t *testing.T) {
 	}
 }
 
+// rebuildAndCheck rebuilds sources in dir, checks the result equals a
+// clean build's, and returns the outcome, the explain output and the
+// build's counters; ft.phase2Modules lists the rebuild's phase-2 modules.
+func rebuildAndCheck(t *testing.T, dir string, sources []Source, ft *fakeToolchain) (*Outcome, string, map[string]int64) {
+	t.Helper()
+	ft.phase2Modules = nil
+	var buf bytes.Buffer
+	tr := telemetry.New()
+	out, err := Build(telemetry.WithTracer(context.Background(), tr), dir, sources, ft.toolchain(), Options{Jobs: 1, Explain: &buf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled := ft.phase2Modules
+	clean := mustBuild(t, "", sources, ft.toolchain(), Options{Jobs: 1})
+	if !reflect.DeepEqual(out.Exe, clean.Exe) {
+		t.Errorf("incremental exe differs from a clean build's\n%s", &buf)
+	}
+	ft.phase2Modules = compiled
+	return out, buf.String(), tr.Counters()
+}
+
+// TestDirectiveChangeRecompilesConsumers changes directives without
+// touching any source: phase 1 never re-runs, and phase 2 re-runs exactly
+// for the modules whose phase-2 view of the changed procedure moved.
 func TestDirectiveChangeRecompilesConsumers(t *testing.T) {
 	dir := t.TempDir()
 	ft := &fakeToolchain{}
 	mustBuild(t, dir, twoModules(), ft.toolchain(), Options{Jobs: 1})
 
-	// Change leaf's directives without touching any source. Both modules
-	// consult leaf (main calls it directly, lib defines it), so both must
-	// re-run phase 2 — but phase 1 must not run at all.
+	// Promote a global in leaf. Only lib.mc, which defines leaf, reads its
+	// promotions and register sets; main.mc only calls leaf and reads its
+	// clobber set, which did not change.
 	ft.promote = map[string]uint8{"leaf": 17}
-	ft.phase2Modules = nil
-	var buf bytes.Buffer
-	out := mustBuild(t, dir, twoModules(), ft.toolchain(), Options{Jobs: 1, Explain: &buf})
+	out, explain, _ := rebuildAndCheck(t, dir, twoModules(), ft)
 	if out.Phase1Rebuilds != 0 {
 		t.Errorf("phase-1 rebuilds = %d, want 0", out.Phase1Rebuilds)
 	}
-	if out.Phase2Rebuilds != 2 {
-		t.Errorf("phase-2 rebuilds = %d, want 2\n%s", out.Phase2Rebuilds, &buf)
+	if !reflect.DeepEqual(ft.phase2Modules, []string{"lib.mc"}) {
+		t.Errorf("phase 2 compiled %v, want only lib.mc\n%s", ft.phase2Modules, explain)
 	}
-	if !strings.Contains(buf.String(), "phase 2 recompiled (directives changed: leaf)") {
-		t.Errorf("explain output missing directive rationale:\n%s", &buf)
+	if !strings.Contains(explain, "lib.mc: phase 1 reused; phase 2 recompiled (directives changed: leaf)") {
+		t.Errorf("explain output missing directive rationale:\n%s", explain)
+	}
+
+	// Change leaf's clobber set. Both modules call leaf directly (main and
+	// helper), so both must re-run phase 2.
+	ft.clobber = map[string]regs.Set{"leaf": regs.Of(19)}
+	out, explain, _ = rebuildAndCheck(t, dir, twoModules(), ft)
+	if out.Phase1Rebuilds != 0 || out.Phase2Rebuilds != 2 {
+		t.Errorf("rebuilds = %d/%d, want 0/2\n%s", out.Phase1Rebuilds, out.Phase2Rebuilds, explain)
 	}
 
 	// Now promote only main: lib.mc never consults main's directives, so
 	// only main.mc re-runs phase 2.
 	ft.promote = map[string]uint8{"leaf": 17, "main": 16}
-	ft.phase2Modules = nil
-	out = mustBuild(t, dir, twoModules(), ft.toolchain(), Options{Jobs: 1})
+	out, explain, _ = rebuildAndCheck(t, dir, twoModules(), ft)
 	if out.Phase2Rebuilds != 1 || !reflect.DeepEqual(ft.phase2Modules, []string{"main.mc"}) {
-		t.Errorf("rebuilds = %d (%v), want only main.mc", out.Phase2Rebuilds, ft.phase2Modules)
+		t.Errorf("rebuilds = %d (%v), want only main.mc\n%s", out.Phase2Rebuilds, ft.phase2Modules, explain)
 	}
+}
+
+// checkCauses compares a build's incremental.invalidate_cause.* counters.
+func checkCauses(t *testing.T, counters, want map[string]int64) {
+	t.Helper()
+	for cause, n := range want {
+		if got := counters["incremental.invalidate_cause."+cause]; got != n {
+			t.Errorf("invalidate_cause.%s = %d, want %d", cause, got, n)
+		}
+	}
+}
+
+// TestInvalidationCauses checks that each rebuild names the kind of fact
+// that caused it, in the explain reason and the cause counters.
+func TestInvalidationCauses(t *testing.T) {
+	dir := t.TempDir()
+	ft := &fakeToolchain{}
+	mustBuild(t, dir, twoModules(), ft.toolchain(), Options{Jobs: 1})
+
+	// A clobber-only change reports only the clobber cause, in both
+	// modules, although lib.mc also defines the procedure.
+	ft.clobber = map[string]regs.Set{"leaf": regs.Of(19)}
+	_, explain, counters := rebuildAndCheck(t, dir, twoModules(), ft)
+	for _, mod := range []string{"main.mc", "lib.mc"} {
+		if !strings.Contains(explain, mod+": phase 1 reused; phase 2 recompiled (callee clobber changed: leaf)\n") {
+			t.Errorf("%s: want only the clobber cause:\n%s", mod, explain)
+		}
+	}
+	checkCauses(t, counters, map[string]int64{"source": 0, "directives": 0, "clobber": 2, "eligible": 0})
+
+	// A promotion in helper is a directives cause for lib.mc only (helper
+	// has no clobber set, so main.mc's view of it is unchanged); an edit
+	// to main.mc is a source cause.
+	ft.promote = map[string]uint8{"helper": 17}
+	edited := twoModules()
+	edited[0].Text = []byte("main>helper main>leaf extra")
+	_, explain, counters = rebuildAndCheck(t, dir, edited, ft)
+	if !strings.Contains(explain, "lib.mc: phase 1 reused; phase 2 recompiled (directives changed: helper)\n") {
+		t.Errorf("explain output missing directive cause:\n%s", explain)
+	}
+	checkCauses(t, counters, map[string]int64{"source": 1, "directives": 1, "clobber": 0, "eligible": 0})
+
+	// Eligibility is consulted per referenced global: making x eligible
+	// rebuilds only the module that loads it, and the reason names it.
+	globals := []Source{{Name: "a.mc", Text: []byte("f@x f>g")}, {Name: "b.mc", Text: []byte("g@y")}}
+	mustBuild(t, dir, globals, ft.toolchain(), Options{Jobs: 1})
+	ft.eligible = []string{"x", "z"}
+	_, explain, counters = rebuildAndCheck(t, dir, globals, ft)
+	if !reflect.DeepEqual(ft.phase2Modules, []string{"a.mc"}) ||
+		!strings.Contains(explain, "a.mc: phase 1 reused; phase 2 recompiled (eligible globals changed: x)\n") {
+		t.Errorf("phase 2 compiled %v, want only a.mc for eligible x:\n%s", ft.phase2Modules, explain)
+	}
+	checkCauses(t, counters, map[string]int64{"source": 0, "directives": 0, "clobber": 0, "eligible": 1})
 }
 
 func TestFingerprintMismatchDiscardsState(t *testing.T) {
@@ -384,21 +489,46 @@ func TestDuplicateModuleNamesRejected(t *testing.T) {
 }
 
 func TestConsultedProcs(t *testing.T) {
+	global := func(op ir.Op, sym string) ir.Instr {
+		return ir.Instr{Op: op, Mem: ir.MemRef{Kind: ir.MemGlobal, Sym: sym, Size: 4, Singleton: true}}
+	}
 	m := &ir.Module{
 		Name: "m.mc",
 		Funcs: []*ir.Func{
+			{Name: "h", Blocks: []*ir.Block{{Instrs: []ir.Instr{
+				{Op: ir.Call, Callee: "h"},
+				global(ir.Store, "b"),
+			}}}},
 			{Name: "f", Blocks: []*ir.Block{{Instrs: []ir.Instr{
 				{Op: ir.Call, Callee: "g"},
 				{Op: ir.Call, IndirectCall: true, Callee: ""},
 				{Op: ir.Call, Callee: "putint"},
+				global(ir.Load, "a"),
+				global(ir.Load, "b"),
+				{Op: ir.Load, Mem: ir.MemRef{Kind: ir.MemFrame, Size: 4}},
+				{Op: ir.AddrGlobal, Callee: "c"},
 			}}}},
-			{Name: "h", Blocks: []*ir.Block{{}}},
 		},
 	}
-	got := consultedProcs(m)
-	want := []string{"f", "g", "h", "putint"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("consultedProcs = %v, want %v", got, want)
+	v := moduleView(pdb.New(), map[string]bool{"b": true, "c": true, "z": true}, m)
+	keys := func(hashes map[string]string) []string {
+		var out []string
+		for k := range hashes {
+			out = append(out, k)
+		}
+		sort.Strings(out)
+		return out
+	}
+	if got := keys(v.directives); !reflect.DeepEqual(got, []string{"f", "h"}) {
+		t.Errorf("own procedures = %v, want [f h]", got)
+	}
+	if got := keys(v.clobbers); !reflect.DeepEqual(got, []string{"g", "h", "putint"}) {
+		t.Errorf("direct callees = %v, want [g h putint]", got)
+	}
+	// Only the eligible globals among those loaded or stored: c's address
+	// is taken, which is no load or store of it.
+	if !reflect.DeepEqual(v.eligible, []string{"b"}) {
+		t.Errorf("eligible globals = %v, want [b]", v.eligible)
 	}
 }
 
@@ -410,6 +540,12 @@ func TestDiffDirectives(t *testing.T) {
 	}
 	if got := diffDirectives(prev, prev); got != nil {
 		t.Errorf("self-diff = %v, want empty", got)
+	}
+	if got := diffSorted([]string{"a", "c", "d"}, []string{"b", "c", "e"}); !reflect.DeepEqual(got, []string{"a", "b", "d", "e"}) {
+		t.Errorf("diffSorted = %v", got)
+	}
+	if got := diffSorted(nil, []string{"a"}); !reflect.DeepEqual(got, []string{"a"}) {
+		t.Errorf("diffSorted(nil, [a]) = %v", got)
 	}
 }
 

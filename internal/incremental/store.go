@@ -9,9 +9,11 @@
 //	<build-dir>/obj-<module>.wire compiled object (parv object encoding)
 //
 // The manifest records, per module: the phase-1 source hash, the names of
-// the two artifact files, and a hash of every program-database directive
-// the module's phase-2 compilation consumed (one per consulted procedure,
-// plus the program-wide eligibility list). Everything is guarded by a
+// the two artifact files, and the module's phase-2 view of the program
+// database — a pdb.OwnView hash per function it defines, a
+// pdb.CalleeView (clobber-set) hash per procedure it calls directly, and
+// the globals it loads or stores that are eligible for intraprocedural
+// promotion. Everything is guarded by a
 // fingerprint combining the store format version with the caller's
 // toolchain fingerprint; state written by a different format or toolchain
 // is rejected wholesale — stale artifacts must never survive a compiler
@@ -38,8 +40,10 @@ import (
 // Bump it whenever either changes shape or meaning — including the
 // encoding of any artifact the directory stores — so older directories
 // are rebuilt from scratch instead of misread. v2: artifacts moved from
-// gob to the wire format (and .gob suffixes to .wire).
-const FormatVersion = "ipra-build/v2"
+// gob to the wire format (and .gob suffixes to .wire). v3: the manifest
+// records per-module phase-2 views instead of whole-directive hashes and
+// one program-wide eligibility hash.
+const FormatVersion = "ipra-build/v3"
 
 const manifestName = "manifest.json"
 
@@ -51,11 +55,12 @@ type moduleState struct {
 	// Phase1File / ObjectFile are base names inside the build directory.
 	Phase1File string `json:"phase1File"`
 	ObjectFile string `json:"objectFile"`
-	// EligibleHash fingerprints the program-wide eligibility list the
-	// module's phase 2 consumed; Directives holds one hash per consulted
-	// procedure (the module's own functions and its direct callees).
-	EligibleHash string            `json:"eligibleHash"`
-	Directives   map[string]string `json:"directives"`
+	// The module's phase-2 view (see view): own function -> OwnView
+	// hash, direct callee -> CalleeView hash, and the sorted eligible
+	// globals among those it loads or stores.
+	Directives map[string]string `json:"directives"`
+	Clobbers   map[string]string `json:"clobbers"`
+	Eligible   []string          `json:"eligible,omitempty"`
 }
 
 // manifest is the whole persisted build state.

@@ -9,6 +9,7 @@ package pdb
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -133,8 +134,9 @@ func promotedLess(a, b *PromotedGlobal) bool {
 }
 
 // SortPromoted puts a promotion list into the canonical order
-// CanonicalBytes serializes in. Producers that sort at construction time
-// let every later hash of the directives skip its defensive copy-and-sort.
+// CanonicalBytes serializes in (and ViewHash hashes in, WebID aside).
+// Producers that sort at construction time let every later hash of the
+// directives skip its defensive copy-and-sort.
 func SortPromoted(ps []PromotedGlobal) {
 	// Insertion sort: promotion lists hold at most a handful of entries
 	// (bounded by the callee-saves set), and sort.Slice's reflection-based
@@ -150,8 +152,7 @@ func SortPromoted(ps []PromotedGlobal) {
 // JSON encoding with the Promoted list in canonical order. Two
 // semantically identical directive sets always produce the same bytes, no
 // matter what order the analyzer emitted the promotions in, so the bytes
-// (and DirectiveHash over them) are safe to persist and compare across
-// builds.
+// are safe to persist and compare across builds.
 func (d *ProcDirectives) CanonicalBytes() []byte {
 	cp := *d
 	if len(d.Promoted) > 1 && !sort.SliceIsSorted(d.Promoted, func(i, j int) bool {
@@ -169,31 +170,105 @@ func (d *ProcDirectives) CanonicalBytes() []byte {
 	return data
 }
 
-// DirectiveHash fingerprints the directives a procedure's phase-2
-// compilation consumes. The incremental driver stores one hash per
-// consulted procedure and recompiles a module only when one of them
-// changes.
-func (d *ProcDirectives) DirectiveHash() string {
-	sum := sha256.Sum256(d.CanonicalBytes())
+// View names the slice of a procedure's directives that one kind of
+// phase-2 compilation reads. The incremental driver stores a ViewHash per
+// consulted procedure and recompiles a module only when one changes, so a
+// view must cover every field its reader consumes and nothing else: a
+// field outside every view can change without recompiling anything.
+type View uint8
+
+const (
+	// OwnView is what compiling the procedure itself reads: its
+	// promotions (name, register, entry and store flags, §5), its four
+	// register usage sets (§4.2.3) and whether it is a cluster root.
+	// WebID is not part of it: it is a program-wide dense index that
+	// phase 2 never reads, so one new web would otherwise renumber, and
+	// recompile, every procedure of every later web.
+	OwnView View = 1
+	// CalleeView is what compiling a direct caller reads: the published
+	// clobber set (§7.6.2), exactly codegen's per-call clobber lookup.
+	CalleeView View = 2
+)
+
+// ViewHash fingerprints one view of the directives from a fixed byte
+// layout: the view tag, then for OwnView each promotion (in viewLess
+// order, so emission order does not matter) as a length-prefixed name, a
+// register and a flag byte, followed by the four sets and the cluster-root
+// flag; for CalleeView the clobber flag and set.
+func (d *ProcDirectives) ViewHash(v View) string {
+	var arr [64]byte
+	b := append(arr[:0], byte(v))
+	switch v {
+	case OwnView:
+		ps := viewOrder(d.Promoted)
+		b = binary.AppendUvarint(b, uint64(len(ps)))
+		for i := range ps {
+			p := &ps[i]
+			b = binary.AppendUvarint(b, uint64(len(p.Name)))
+			b = append(b, p.Name...)
+			b = append(b, p.Reg, flags(p.IsEntry, p.NeedStore))
+		}
+		for _, s := range [...]regs.Set{d.Free, d.Caller, d.Callee, d.MSpill} {
+			b = binary.LittleEndian.AppendUint32(b, uint32(s))
+		}
+		b = append(b, flags(d.IsClusterRoot, false))
+	case CalleeView:
+		b = append(b, flags(d.HasClobber, false))
+		b = binary.LittleEndian.AppendUint32(b, uint32(d.ClobberAtCalls))
+	default:
+		panic(fmt.Sprintf("pdb: unknown view %d", v))
+	}
+	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:16])
 }
 
-// EligibleHash fingerprints the program-wide intraprocedural promotion
-// eligibility list, which phase 2 consults for every function of every
-// module (order-insensitive).
-func (db *Database) EligibleHash() string {
-	sorted := append([]string(nil), db.EligibleGlobals...)
-	sort.Strings(sorted)
-	h := sha256.New()
-	for _, g := range sorted {
-		fmt.Fprintf(h, "%d:%s,", len(g), g)
+// viewOrder returns ps in viewLess order: ps itself when already sorted
+// (the analyzer emits SortPromoted order, which agrees unless a variable
+// is promoted twice), else a sorted copy.
+func viewOrder(ps []PromotedGlobal) []PromotedGlobal {
+	sorted := true
+	for i := 1; i < len(ps) && sorted; i++ {
+		sorted = !viewLess(&ps[i], &ps[i-1])
 	}
-	return hex.EncodeToString(h.Sum(nil)[:16])
+	if sorted {
+		return ps
+	}
+	ps = append([]PromotedGlobal(nil), ps...)
+	for i := 1; i < len(ps); i++ {
+		for j := i; j > 0 && viewLess(&ps[j], &ps[j-1]); j-- {
+			ps[j], ps[j-1] = ps[j-1], ps[j]
+		}
+	}
+	return ps
+}
+
+// viewLess orders promotions for ViewHash: promotedLess without the WebID
+// tiebreak, which the view does not cover.
+func viewLess(a, b *PromotedGlobal) bool {
+	if a.Name != b.Name {
+		return a.Name < b.Name
+	}
+	if a.Reg != b.Reg {
+		return a.Reg < b.Reg
+	}
+	return flags(a.IsEntry, a.NeedStore) < flags(b.IsEntry, b.NeedStore)
+}
+
+func flags(a, b bool) byte {
+	var f byte
+	if a {
+		f |= 1
+	}
+	if b {
+		f |= 2
+	}
+	return f
 }
 
 // Hash fingerprints the whole database: every procedure's canonical
-// directives plus the eligibility list. Two databases hash equal iff phase
-// 2 would behave identically under them.
+// directives (WebIDs included) plus the eligibility list. The build
+// daemon and profile aggregation identify databases by it; the
+// incremental driver diffs the narrower per-module views instead.
 func (db *Database) Hash() string {
 	names := make([]string, 0, len(db.Procs))
 	for name := range db.Procs {
@@ -206,7 +281,13 @@ func (db *Database) Hash() string {
 		fmt.Fprintf(h, "%d:", len(b))
 		h.Write(b)
 	}
-	fmt.Fprintf(h, "|eligible=%s", db.EligibleHash())
+	sorted := append([]string(nil), db.EligibleGlobals...)
+	sort.Strings(sorted)
+	e := sha256.New()
+	for _, g := range sorted {
+		fmt.Fprintf(e, "%d:%s,", len(g), g)
+	}
+	fmt.Fprintf(h, "|eligible=%x", e.Sum(nil)[:16])
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 

@@ -58,7 +58,9 @@ func TestValidateCatchesOverlaps(t *testing.T) {
 	}
 }
 
-func TestDirectiveHashStability(t *testing.T) {
+// TestViewHash pins what each phase-2 view covers: every field its reader
+// consumes changes it, and nothing else does.
+func TestViewHash(t *testing.T) {
 	mk := func() *ProcDirectives {
 		return &ProcDirectives{
 			Name:   "f",
@@ -66,41 +68,55 @@ func TestDirectiveHashStability(t *testing.T) {
 			Caller: regs.Of(19, 20),
 			Callee: regs.Of(3),
 			Promoted: []PromotedGlobal{
-				{Name: "g", Reg: 17, IsEntry: true, NeedStore: true, WebID: 4},
 				{Name: "a", Reg: 16, WebID: 2},
+				{Name: "g", Reg: 17, IsEntry: true, NeedStore: true, WebID: 4},
 			},
+			HasClobber:     true,
+			ClobberAtCalls: regs.Of(19),
 		}
 	}
-	d := mk()
-	if d.DirectiveHash() != mk().DirectiveHash() {
-		t.Error("identical directives must hash identically")
+	base := mk()
+	own, callee := base.ViewHash(OwnView), base.ViewHash(CalleeView)
+	if own == callee {
+		t.Fatal("the two views must hash apart")
+	}
+	for _, tc := range []struct {
+		name              string
+		mut               func(*ProcDirectives)
+		ownMoves, calMove bool
+	}{
+		{"promotion name", func(d *ProcDirectives) { d.Promoted[1].Name = "h" }, true, false},
+		{"promotion reg", func(d *ProcDirectives) { d.Promoted[1].Reg = 15 }, true, false},
+		{"promotion entry", func(d *ProcDirectives) { d.Promoted[0].IsEntry = true }, true, false},
+		{"promotion need store", func(d *ProcDirectives) { d.Promoted[0].NeedStore = true }, true, false},
+		{"promotion dropped", func(d *ProcDirectives) { d.Promoted = d.Promoted[:1] }, true, false},
+		{"free set", func(d *ProcDirectives) { d.Free = regs.Of(9) }, true, false},
+		{"caller set", func(d *ProcDirectives) { d.Caller = regs.Of(19) }, true, false},
+		{"callee set", func(d *ProcDirectives) { d.Callee = regs.Of(4) }, true, false},
+		{"mspill set", func(d *ProcDirectives) { d.MSpill = regs.Of(10) }, true, false},
+		{"cluster root", func(d *ProcDirectives) { d.IsClusterRoot = true }, true, false},
+		{"has clobber", func(d *ProcDirectives) { d.HasClobber = false }, false, true},
+		{"clobber set", func(d *ProcDirectives) { d.ClobberAtCalls = regs.Of(19, 20) }, false, true},
+		{"web id", func(d *ProcDirectives) { d.Promoted[0].WebID, d.Promoted[1].WebID = 7, 1 }, false, false},
+		{"name", func(d *ProcDirectives) { d.Name = "renamed" }, false, false},
+		{"promotion order", func(d *ProcDirectives) { d.Promoted[0], d.Promoted[1] = d.Promoted[1], d.Promoted[0] }, false, false},
+	} {
+		d := mk()
+		tc.mut(d)
+		if got := d.ViewHash(OwnView) != own; got != tc.ownMoves {
+			t.Errorf("%s: own view changed = %v, want %v", tc.name, got, tc.ownMoves)
+		}
+		if got := d.ViewHash(CalleeView) != callee; got != tc.calMove {
+			t.Errorf("%s: callee view changed = %v, want %v", tc.name, got, tc.calMove)
+		}
 	}
 
-	// Promotion order must not matter: the canonical form sorts by name.
+	// Hashing an out-of-order list must not reorder the caller's slice.
 	swapped := mk()
 	swapped.Promoted[0], swapped.Promoted[1] = swapped.Promoted[1], swapped.Promoted[0]
-	if swapped.DirectiveHash() != d.DirectiveHash() {
-		t.Error("promotion order changed the hash")
-	}
-	if swapped.Promoted[0].Name != "a" {
-		t.Error("canonicalization must not reorder the caller's slice")
-	}
-
-	// Every semantic change must change the hash.
-	for name, mut := range map[string]func(*ProcDirectives){
-		"free set":      func(d *ProcDirectives) { d.Free = regs.Of(9) },
-		"caller set":    func(d *ProcDirectives) { d.Caller = regs.Of(19) },
-		"mspill set":    func(d *ProcDirectives) { d.MSpill = regs.Of(10) },
-		"promotion reg": func(d *ProcDirectives) { d.Promoted[0].Reg = 15 },
-		"need store":    func(d *ProcDirectives) { d.Promoted[1].NeedStore = true },
-		"cluster root":  func(d *ProcDirectives) { d.IsClusterRoot = true },
-		"clobber":       func(d *ProcDirectives) { d.HasClobber = true; d.ClobberAtCalls = regs.Of(19) },
-	} {
-		c := mk()
-		mut(c)
-		if c.DirectiveHash() == d.DirectiveHash() {
-			t.Errorf("%s change did not change the hash", name)
-		}
+	swapped.ViewHash(OwnView)
+	if swapped.Promoted[0].Name != "g" {
+		t.Error("ViewHash reordered the caller's promotion list")
 	}
 }
 
@@ -112,11 +128,8 @@ func TestDatabaseHashes(t *testing.T) {
 	other := New()
 	other.EligibleGlobals = []string{"a", "b"}
 	other.Procs["f"] = Standard("f")
-	if db.EligibleHash() != other.EligibleHash() {
-		t.Error("eligible hash must be order-insensitive")
-	}
 	if db.Hash() != other.Hash() {
-		t.Error("equivalent databases must hash equal")
+		t.Error("equivalent databases must hash equal (eligibility order must not matter)")
 	}
 
 	other.Procs["g"] = Standard("g")
@@ -134,8 +147,19 @@ func TestDatabaseHashes(t *testing.T) {
 	one.EligibleGlobals = []string{"ab"}
 	two := New()
 	two.EligibleGlobals = []string{"a", "b"}
-	if one.EligibleHash() == two.EligibleHash() {
-		t.Error("eligible hash must length-prefix elements")
+	if one.Hash() == two.Hash() {
+		t.Error("eligible list encoding must length-prefix elements")
+	}
+
+	// The daemon and profile records carry this hash across processes and
+	// releases: its bytes are pinned.
+	db.Procs["g"] = &ProcDirectives{
+		Name: "g", Free: regs.Of(8),
+		Promoted:   []PromotedGlobal{{Name: "x", Reg: 17, IsEntry: true, WebID: 3}},
+		HasClobber: true, ClobberAtCalls: regs.Of(19, 20),
+	}
+	if got, want := db.Hash(), "cfac9b17a11fba5cc63d20c4bcae1768"; got != want {
+		t.Errorf("Hash = %s, want pinned %s", got, want)
 	}
 }
 

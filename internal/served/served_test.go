@@ -336,3 +336,51 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestResultCacheStoresCompressedImages checks the result cache returns
+// the exact executable bytes it was given while holding them compressed,
+// and still evicts least-recently-used entries.
+func TestResultCacheStoresCompressedImages(t *testing.T) {
+	exe := localExe(t, "C", testSources(t))
+	c := newResultCache(2)
+	c.put("a", &BuildResponse{Config: "C", Exe: exe, Instructions: 7})
+	got, ok := c.get("a")
+	if !ok || !bytes.Equal(got.Exe, exe) || got.Config != "C" || got.Instructions != 7 {
+		t.Fatalf("get(a) = %+v, %v; want the stored response", got, ok)
+	}
+	got.Exe[0] ^= 0xff // a caller's copy must not reach the cache
+	if again, _ := c.get("a"); !bytes.Equal(again.Exe, exe) {
+		t.Error("mutating a returned response changed the cached image")
+	}
+	e := c.entries["a"].Value.(*resultEntry)
+	if e.resp.Exe != nil || len(e.exe) >= len(exe)/2 {
+		t.Errorf("cache entry holds %d raw and %d compressed bytes for a %d-byte image", len(e.resp.Exe), len(e.exe), len(exe))
+	}
+
+	c.put("b", &BuildResponse{Exe: []byte("b")})
+	c.get("a")
+	c.put("c", &BuildResponse{Exe: []byte("c")})
+	if _, ok := c.get("b"); ok {
+		t.Error("least recently used entry b survived eviction")
+	}
+	if got, ok := c.get("c"); !ok || string(got.Exe) != "c" {
+		t.Errorf("get(c) = %+v, %v", got, ok)
+	}
+
+	// Concurrent puts and gets of the same keys see whole entries only.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				key := string(rune('a' + (g+i)%3))
+				c.put(key, &BuildResponse{Config: key, Exe: []byte(key)})
+				if got, ok := c.get(key); ok && string(got.Exe) != got.Config {
+					t.Errorf("get(%s) mixed entries: exe %q, config %q", key, got.Exe, got.Config)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}

@@ -29,6 +29,7 @@ package served
 
 import (
 	"bytes"
+	"compress/flate"
 	"container/list"
 	"context"
 	"encoding/json"
@@ -113,7 +114,11 @@ type inflight struct {
 	err  error
 }
 
-// resultCache is a small mutex-guarded LRU of finished responses.
+// resultCache is a small mutex-guarded LRU of finished responses. It is
+// bounded by entry count, so it holds each executable image
+// flate-compressed (about 5x smaller on progen programs, at a few
+// milliseconds per put and per hit): the images are nearly all of a full
+// cache's memory.
 type resultCache struct {
 	mu      sync.Mutex
 	max     int
@@ -123,39 +128,70 @@ type resultCache struct {
 
 type resultEntry struct {
 	key  string
-	resp *BuildResponse
+	resp *BuildResponse // with Exe nil
+	exe  []byte         // resp's Exe, flate-compressed
+	size int            // len(resp's Exe)
 }
+
+// flateWriters reuses compressors across puts: a BestSpeed writer holds
+// about 450 KB of tables.
+var flateWriters = sync.Pool{New: func() any {
+	w, _ := flate.NewWriter(nil, flate.BestSpeed) // fails only on an invalid level
+	return w
+}}
 
 func newResultCache(max int) *resultCache {
 	return &resultCache{max: max, order: list.New(), entries: make(map[string]*list.Element)}
 }
 
+// get returns a copy of the cached response under key, Exe restored.
 func (c *resultCache) get(key string) (*BuildResponse, bool) {
 	if c.max <= 0 {
 		return nil, false
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
+		c.mu.Unlock()
 		return nil, false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*resultEntry).resp, true
+	e := el.Value.(*resultEntry) // immutable; put replaces, never edits
+	c.mu.Unlock()
+	exe := make([]byte, e.size)
+	if _, err := io.ReadFull(flate.NewReader(bytes.NewReader(e.exe)), exe); err != nil {
+		// Only put writes these bytes; treat the impossible as a miss.
+		return nil, false
+	}
+	out := *e.resp
+	out.Exe = exe
+	return &out, true
 }
 
 func (c *resultCache) put(key string, resp *BuildResponse) {
 	if c.max <= 0 {
 		return
 	}
+	var z bytes.Buffer
+	z.Grow(len(resp.Exe) / 4)
+	w := flateWriters.Get().(*flate.Writer)
+	w.Reset(&z)
+	// Writes to a bytes.Buffer cannot fail.
+	w.Write(resp.Exe)
+	w.Close()
+	flateWriters.Put(w)
+	stripped := *resp
+	stripped.Exe = nil
+	entry := &resultEntry{key: key, resp: &stripped, exe: bytes.Clone(z.Bytes()), size: len(resp.Exe)}
+
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
-		el.Value.(*resultEntry).resp = resp
+		el.Value = entry
 		c.order.MoveToFront(el)
 		return
 	}
-	c.entries[key] = c.order.PushFront(&resultEntry{key: key, resp: resp})
+	c.entries[key] = c.order.PushFront(entry)
 	for c.order.Len() > c.max {
 		el := c.order.Back()
 		c.order.Remove(el)
@@ -306,15 +342,14 @@ func (s *Server) Build(ctx context.Context, req *BuildRequest) (*BuildResponse, 
 	if req.aggHash != "" {
 		key += "|agg:" + req.aggHash
 	}
-	if resp, ok := s.results.get(key); ok {
+	if out, ok := s.results.get(key); ok {
 		s.tracer.Add("served.result_hits", 1)
-		out := *resp
 		out.RequestID = s.nextID.Add(1)
 		out.ResultCached = true
 		out.Incremental = nil
 		out.ElapsedMS = float64(time.Since(began).Microseconds()) / 1000
 		s.logf("req %d: %s %d modules: result cache hit", out.RequestID, req.Config, len(req.Sources))
-		return &out, nil
+		return out, nil
 	}
 
 	// Single-flight: the first arrival under a key becomes the leader

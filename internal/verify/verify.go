@@ -34,8 +34,8 @@
 //     a least-fixpoint clobber closure proves ClobberAtCalls (§7.6.2)
 //     over-approximates everything a call may actually destroy.
 //   - hashes: the directives phase 2 consumes are byte-stable — the
-//     canonical encoding is a decode fixpoint, DirectiveHash is
-//     insensitive to promotion order, and the database and call graph
+//     canonical encoding is a decode fixpoint, the phase-2 view hash
+//     is insensitive to promotion order, and the database and call graph
 //     agree on exactly which procedures are compiled.
 package verify
 
@@ -164,16 +164,16 @@ func (c *checker) checkDatabase() {
 		} else if !bytes.Equal(rt.CanonicalBytes(), b) {
 			c.violate(ClassHashes, name, "canonical encoding is not a decode fixpoint")
 		}
-		// DirectiveHash must not depend on the order the analyzer emitted
-		// the promotions in.
+		// The phase-2 view hash must not depend on the order the analyzer
+		// emitted the promotions in.
 		if len(d.Promoted) > 1 {
 			perm := *d
 			perm.Promoted = make([]pdb.PromotedGlobal, len(d.Promoted))
 			for i, p := range d.Promoted {
 				perm.Promoted[len(d.Promoted)-1-i] = p
 			}
-			if perm.DirectiveHash() != d.DirectiveHash() {
-				c.violate(ClassHashes, name, "DirectiveHash depends on promotion order")
+			if perm.ViewHash(pdb.OwnView) != d.ViewHash(pdb.OwnView) {
+				c.violate(ClassHashes, name, "ViewHash depends on promotion order")
 			}
 		}
 	}

@@ -535,9 +535,9 @@ func eligibleMap(db *pdb.Database) map[string]bool {
 // phase2Module runs the compiler second phase on one module: apply the
 // database's directives, optimize, and generate code. It never mutates m;
 // everything runs on a scratch clone. The output is a pure function of the
-// module IR, the directives of its own procedures and direct callees, and
-// the eligibility set — the property the incremental driver's
-// directive-diff invalidation relies on.
+// module IR, the directives of its own procedures, the clobber sets of its
+// direct callees, and the eligibility of the globals it loads and stores —
+// the phase-2 view the incremental driver diffs.
 func phase2Module(ctx context.Context, m *ir.Module, db *pdb.Database, eligible map[string]bool) (*parv.Object, error) {
 	_, span := telemetry.StartSpan(ctx, "module")
 	defer span.End()
