@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"ipra/internal/progen"
 )
 
 // TestPresetRegistry pins the preset registry: names in Table 4 order,
@@ -146,6 +148,61 @@ func TestBuildEntryPoints(t *testing.T) {
 	}
 	if !bytes.Equal(exeBytes(t, plain.Exe), exeBytes(t, incr.Exe)) {
 		t.Error("incremental Build output differs from in-memory Build output")
+	}
+}
+
+// TestConfigProfileMatchesWithProfile pins the rule that lets a caller
+// with call counts already in hand skip training: setting Config.Profile
+// to a training run's counts builds the same executable as WithProfile,
+// in memory, through a build directory, and on a no-edit rebuild of it.
+func TestConfigProfileMatchesWithProfile(t *testing.T) {
+	ctx := context.Background()
+	sources := progenSources(progen.Generate(progen.Config{
+		Seed: 5, Modules: 3, ProcsPerModule: 8, Globals: 32,
+		SubsystemSize: 4, Recursion: true, Statics: true, LoopIters: 3,
+	}))
+	cfg := MustPreset("B")
+
+	// The program is chosen so its training counts change B's allocation;
+	// otherwise every comparison below would hold vacuously.
+	heuristic, err := Build(ctx, sources, cfg)
+	if err != nil {
+		t.Fatalf("heuristic build: %v", err)
+	}
+
+	trained, err := Build(ctx, sources, cfg, WithProfile(5_000_000))
+	if err != nil {
+		t.Fatalf("profiled build: %v", err)
+	}
+	if trained.Train == nil || trained.Train.Profile == nil {
+		t.Fatal("profiled build produced no training profile")
+	}
+	want := exeBytes(t, trained.Exe)
+	if bytes.Equal(want, exeBytes(t, heuristic.Exe)) {
+		t.Fatal("training counts do not change this program's B executable")
+	}
+
+	counted := cfg
+	counted.Profile = trained.Train.Profile
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name string
+		opts []BuildOption
+	}{
+		{"in memory", nil},
+		{"build dir", []BuildOption{WithBuildDir(dir)}},
+		{"no-edit rebuild", []BuildOption{WithBuildDir(dir)}},
+	} {
+		res, err := Build(ctx, sources, counted, c.opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if res.Train != nil {
+			t.Errorf("%s: Config.Profile build ran a training pass", c.name)
+		}
+		if !bytes.Equal(want, exeBytes(t, res.Exe)) {
+			t.Errorf("%s: Config.Profile build differs from the WithProfile build", c.name)
+		}
 	}
 }
 

@@ -39,7 +39,6 @@ func main() {
 		concurrency = flag.Int("concurrency", 0, "max concurrent builds (0 = one per CPU)")
 		queue       = flag.Int("queue", 0, "max builds waiting for a slot before 503 (0 = 4x concurrency)")
 		cacheSize   = flag.Int("result-cache", 128, "in-memory result cache entries (negative disables)")
-		profProgs   = flag.Int("profile-programs", 0, "max in-memory per-program profile aggregates (0 = 128)")
 		drainWait   = flag.Duration("drain-timeout", time.Minute, "how long shutdown waits for in-flight builds")
 	)
 	build := &cliutil.BuildFlags{}
@@ -57,7 +56,6 @@ func main() {
 		QueueDepth:         *queue,
 		Jobs:               common.Jobs,
 		ResultCacheEntries: *cacheSize,
-		ProfilePrograms:    *profProgs,
 		TrainInstrs:        build.TrainInstrs,
 		Tracer:             common.Tracer(),
 		Log:                os.Stderr,

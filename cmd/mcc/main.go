@@ -17,13 +17,6 @@
 //	                          full build on a running ipra-served daemon;
 //	                          the returned executable is byte-identical
 //	                          to a local build of the same sources/config
-//	mcc -profile-snapshot agg.snap file.mc ...
-//	                          full build against an aggregated fleet
-//	                          profile (a profagg snapshot, e.g. from
-//	                          ipra-served's /v1/profile/snapshot) instead
-//	                          of a training run; byte-identical to the
-//	                          daemon's retrained executable for the same
-//	                          aggregate
 //
 // Run the program analyzer (ipra-analyze) between the phases; without a
 // program database, phase 2 compiles at plain level-2 optimization. The
@@ -46,7 +39,6 @@ import (
 	"ipra/internal/parv"
 	"ipra/internal/pdb"
 	"ipra/internal/pipeline"
-	"ipra/internal/profagg"
 	"ipra/internal/served"
 	"ipra/internal/summary"
 )
@@ -58,7 +50,6 @@ func main() {
 		link        = flag.String("link", "", "link object files into the named executable image")
 		incremental = flag.Bool("incremental", false, "full minimal-rebuild compile of MiniC sources against -build-dir")
 		remote      = flag.String("remote", "", "build on an ipra-served daemon at this address (unix:/path or host:port)")
-		profileSnap = flag.String("profile-snapshot", "", "build against this aggregated profile snapshot instead of a training run")
 		pdbPath     = flag.String("pdb", "", "program database for phase 2 (from ipra-analyze)")
 		outDir      = flag.String("o", ".", "output directory")
 		buildDir    = flag.String("build-dir", ".mcc-build", "incremental build-state directory")
@@ -84,12 +75,10 @@ func main() {
 		err = runLink(flag.Args(), *link)
 	case *remote != "":
 		err = runRemote(ctx, flag.Args(), *remote, build, common)
-	case *profileSnap != "":
-		err = runSnapshotBuild(ctx, flag.Args(), *profileSnap, build, common)
 	case *incremental:
 		err = runIncremental(ctx, flag.Args(), *buildDir, build, common, *explain)
 	default:
-		fmt.Fprintln(os.Stderr, "mcc: specify -phase1, -phase2, -link, -incremental, -remote, or -profile-snapshot (see -help)")
+		fmt.Fprintln(os.Stderr, "mcc: specify -phase1, -phase2, -link, -incremental, or -remote (see -help)")
 		os.Exit(2)
 	}
 	if ferr := common.Finish(); err == nil {
@@ -272,60 +261,6 @@ func runRemote(ctx context.Context, files []string, addr string, build *cliutil.
 	}
 	fmt.Printf("mcc: %d modules -> %s (%d instructions, config %s, remote)\n",
 		len(sources), exeOut, resp.Instructions, resp.Config)
-	return nil
-}
-
-// runSnapshotBuild compiles against an aggregated fleet profile: the
-// snapshot's mean profile replaces the training run, so the output is
-// byte-identical to the daemon's retrained executable for the same
-// aggregate — the CI job's independent check on the drift pipeline.
-func runSnapshotBuild(ctx context.Context, files []string, snapPath string, build *cliutil.BuildFlags, common *cliutil.Common) error {
-	if len(files) == 0 {
-		return fmt.Errorf("profile-snapshot: no source files")
-	}
-	cfg, err := build.Config()
-	if err != nil {
-		return err
-	}
-	if !cfg.WantProfile {
-		return fmt.Errorf("profile-snapshot: config %s does not use profiles; pick a profiled configuration (B or F)", cfg.Name)
-	}
-	cfg.Jobs = common.Jobs
-
-	data, err := os.ReadFile(snapPath)
-	if err != nil {
-		return err
-	}
-	agg, err := profagg.DecodeAggregate(data)
-	if err != nil {
-		return fmt.Errorf("profile-snapshot: %w", err)
-	}
-	if fp := ipra.ToolchainFingerprint(); agg.Fingerprint != fp {
-		return fmt.Errorf("profile-snapshot: aggregate from toolchain %s, this mcc is %s", agg.Fingerprint, fp)
-	}
-	sources, err := readSources(files)
-	if err != nil {
-		return err
-	}
-
-	opts := []ipra.BuildOption{ipra.WithAggregatedProfile(agg.MeanProfile())}
-	if common.Verify {
-		opts = append(opts, ipra.WithVerify())
-	}
-	res, err := ipra.Build(ctx, sources, cfg, opts...)
-	if err != nil {
-		return err
-	}
-
-	exeOut := build.ExePath
-	if exeOut == "" {
-		exeOut = "program.exe"
-	}
-	if err := parv.WriteExecutableFile(exeOut, res.Exe); err != nil {
-		return err
-	}
-	fmt.Printf("mcc: %d modules -> %s (%d instructions, config %s, aggregated profile of %d runs)\n",
-		len(sources), exeOut, len(res.Exe.Code), cfg.Name, agg.Runs)
 	return nil
 }
 

@@ -144,11 +144,11 @@ func writeFileWith(path string, write func(io.Writer) error) error {
 }
 
 // BuildFlags is the shared whole-program-build flag block: configuration
-// preset selection, training budget, and executable output path. Every
-// command that drives a full build — mcc's incremental and remote modes,
-// ipra-loadgen — registers this one block, so the preset table, defaults,
-// and help text can never drift between tools (the preset list itself
-// lives in the ipra registry; nothing here hand-maintains a copy).
+// preset selection, training budget, and executable output path. mcc's
+// incremental and remote modes share this one block and the build daemon
+// registers its training half, so the preset table, defaults, and help
+// text can never drift between tools (the preset list itself lives in the
+// ipra registry; nothing here hand-maintains a copy).
 type BuildFlags struct {
 	// ConfigName is the -config value: L2 or Table 4 column A-F.
 	ConfigName string

@@ -347,18 +347,6 @@ func discardUncompilableWebs(g *callgraph.Graph, ws []*webs.Web) {
 	}
 }
 
-// ApplyStructuralDiscards marks the webs the analyzer always discards for
-// structural (profile-independent) reasons: members without summary
-// records, and cross-module static entries. finishWebs applies exactly
-// these after the economic webs.Filter; external consumers that replay
-// the priority ordering outside a full analysis — the profile-drift model
-// in internal/profagg — call it so their considered set matches the
-// analyzer's web for web.
-func ApplyStructuralDiscards(g *callgraph.Graph, ws []*webs.Web) {
-	discardCrossModuleStatics(g, ws)
-	discardUncompilableWebs(g, ws)
-}
-
 // discardCrossModuleStatics drops webs for static globals whose entry nodes
 // lie outside the defining module: the second phase could not insert the
 // load/store for a static belonging to another module (§7.4).

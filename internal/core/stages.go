@@ -130,7 +130,11 @@ func (a *analysis) stageWebs(ctx context.Context) {
 // after splicing reused and rebuilt webs together.
 func (a *analysis) finishWebs() {
 	webs.Filter(a.res.Webs, a.opt.Filter)
-	ApplyStructuralDiscards(a.res.Graph, a.res.Webs)
+	// Structural (profile-independent) discards come after the economic
+	// filter: cross-module statics, and webs reaching procedures outside
+	// the compiled program.
+	discardCrossModuleStatics(a.res.Graph, a.res.Webs)
+	discardUncompilableWebs(a.res.Graph, a.res.Webs)
 	a.res.Stats.WebsFound = len(a.res.Webs)
 	a.res.Stats.WebsConsidered = 0
 	for _, w := range a.res.Webs {

@@ -266,9 +266,9 @@ func flags(a, b bool) byte {
 }
 
 // Hash fingerprints the whole database: every procedure's canonical
-// directives (WebIDs included) plus the eligibility list. The build
-// daemon and profile aggregation identify databases by it; the
-// incremental driver diffs the narrower per-module views instead.
+// directives (WebIDs included) plus the eligibility list. Tests compare
+// whole databases by it; the incremental driver diffs the narrower
+// per-module views instead.
 func (db *Database) Hash() string {
 	names := make([]string, 0, len(db.Procs))
 	for name := range db.Procs {

@@ -156,49 +156,6 @@ func (c *Client) Build(ctx context.Context, req *BuildRequest) (*BuildResponse, 
 	}
 }
 
-// IngestProfile streams one wire-encoded fleet record to the daemon and
-// returns its drift verdict.
-func (c *Client) IngestProfile(ctx context.Context, record []byte) (*ProfileIngestResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.baseURL+"/v1/profile", bytes.NewReader(record))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeStatusError(resp)
-	}
-	var out ProfileIngestResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// ProfileSnapshot fetches the program's wire-encoded aggregate snapshot
-// (profagg.DecodeAggregate parses it), enabling a byte-identical local
-// reproduction of the daemon's aggregated build.
-func (c *Client) ProfileSnapshot(ctx context.Context, program string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.baseURL+"/v1/profile/snapshot?program="+program, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeStatusError(resp)
-	}
-	return io.ReadAll(resp.Body)
-}
-
 // Stats fetches the daemon's counter and gauge snapshot.
 func (c *Client) Stats(ctx context.Context) (*ServerStats, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.baseURL+"/v1/stats", nil)
@@ -238,7 +195,7 @@ func (c *Client) Health(ctx context.Context) error {
 }
 
 // WaitReady polls Health until the daemon answers or the deadline
-// passes — the startup handshake of scripted clients (CI, loadgen). The
+// passes — the startup handshake of scripted clients (CI, perfbench). The
 // wait is bounded by whichever comes first: timeout, or a deadline or
 // cancellation already carried by ctx (deriving the poll deadline from
 // the context means a caller's tighter budget is never overshot).

@@ -5,10 +5,6 @@
 //
 //	POST /v1/build   compile a source set under a named configuration;
 //	                 the body is a BuildRequest, the reply a BuildResponse
-//	POST /v1/profile wire-encoded profagg.Record body; merges fleet call
-//	                 counts and replies with a ProfileIngestResponse
-//	GET  /v1/profile/snapshot?program=KEY
-//	                 the program's wire-encoded aggregate snapshot
 //	GET  /v1/stats   ServerStats: telemetry counters plus live gauges
 //	GET  /v1/health  200 once the server accepts work, 503 while draining
 //
@@ -33,8 +29,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-
-	"ipra/internal/parv"
 )
 
 // Source is one MiniC module in a build request.
@@ -60,24 +54,6 @@ type BuildRequest struct {
 	// response (per-request telemetry is always collected; the trace
 	// export is opt-in because it is large).
 	Trace bool `json:"trace,omitempty"`
-
-	// aggProfile/aggHash are resolved once per request on admission, when
-	// the program serves from a fleet-aggregated allocation: the
-	// aggregate's mean profile replaces the training run, and its content
-	// hash extends the dedup/result keys so responses built against
-	// different aggregate states never alias. Never set by clients.
-	aggProfile *parv.Profile
-	aggHash    string
-}
-
-// clone copies the request for retention (the profile store keeps the
-// program's last request as its retrain context), dropping the resolved
-// aggregate so a replay re-resolves it against the store's current state.
-func (r *BuildRequest) clone() *BuildRequest {
-	cp := *r
-	cp.aggProfile, cp.aggHash = nil, ""
-	cp.Sources = append([]Source(nil), r.Sources...)
-	return &cp
 }
 
 // IncrementalSummary is the rebuild record of a request served from a
@@ -123,31 +99,6 @@ type BuildResponse struct {
 	ElapsedMS float64 `json:"elapsedMs"`
 	// Trace is the request's Chrome trace-event JSON when asked for.
 	Trace json.RawMessage `json:"trace,omitempty"`
-	// DirectiveHash identifies the program database the executable was
-	// compiled against ("" for Level2). Profiled clients stamp it into
-	// the records they stream to /v1/profile, which is how the daemon
-	// rejects counts measured under a stale allocation.
-	DirectiveHash string `json:"directiveHash,omitempty"`
-}
-
-// ProfileIngestResponse is the /v1/profile reply.
-type ProfileIngestResponse struct {
-	// Accepted is false when the record was rejected as stale; Reason
-	// then names the cause ("stale-fingerprint" or "stale-directives").
-	Accepted bool   `json:"accepted"`
-	Reason   string `json:"reason,omitempty"`
-	// Runs and Records are the aggregate totals after the merge.
-	Runs    uint64 `json:"runs"`
-	Records uint64 `json:"records"`
-	// ModelReady reports a drift model was available to check against.
-	ModelReady bool `json:"modelReady"`
-	// Drifted reports the merged aggregate would reorder the considered
-	// webs; Reanalyzed that the daemon rebuilt the program from the
-	// aggregate in response, with DirectiveHash identifying the new
-	// allocation the fleet should roll onto.
-	Drifted       bool   `json:"drifted"`
-	Reanalyzed    bool   `json:"reanalyzed"`
-	DirectiveHash string `json:"directiveHash,omitempty"`
 }
 
 // ServerStats is the /v1/stats reply.
@@ -212,7 +163,8 @@ func (r *BuildRequest) Validate() error {
 // result cache: two requests share a key exactly when an identical build
 // under an identical toolchain would produce identical bytes. The
 // toolchain fingerprint is part of the key so a daemon can never serve a
-// result computed by different compiler semantics.
+// result computed by different compiler semantics. Server.Build resolves
+// TrainInstrs against the preset and the server default before keying.
 func (r *BuildRequest) Key(fingerprint string) string {
 	h := sha256.New()
 	writeField := func(s string) {

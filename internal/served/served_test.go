@@ -3,7 +3,9 @@ package served
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -383,4 +385,83 @@ func TestResultCacheStoresCompressedImages(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestServedKeyResolvesTrainInstrs: two requests that spell the same
+// build differently share a key. A preset that never trains ignores
+// TrainInstrs, and a profiled preset's 0 means the server default, so
+// the second request of each pair is a result-cache hit.
+func TestServedKeyResolvesTrainInstrs(t *testing.T) {
+	srcs := testSources(t)
+	srv := New(Options{Jobs: 2, TrainInstrs: testTrainInstrs})
+	for _, c := range []struct {
+		config        string
+		first, second uint64
+	}{
+		{"C", 5, 0},
+		{"B", 0, testTrainInstrs},
+	} {
+		first, err := srv.Build(context.Background(), &BuildRequest{Config: c.config, Sources: srcs, TrainInstrs: c.first})
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := srv.Build(context.Background(), &BuildRequest{Config: c.config, Sources: srcs, TrainInstrs: c.second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !second.ResultCached {
+			t.Errorf("%s: trainInstrs %d after %d missed the result cache", c.config, c.second, c.first)
+		}
+		if !bytes.Equal(first.Exe, second.Exe) {
+			t.Errorf("%s: equivalent requests returned different executables", c.config)
+		}
+	}
+}
+
+// TestServedStatsShape pins the /v1/stats JSON that CI's jq checks read:
+// no field beyond ServerStats, a fingerprint, exactly the three live
+// gauges, and the request and build counters once a build has run.
+func TestServedStatsShape(t *testing.T) {
+	srv := New(Options{Jobs: 2})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client, err := Dial(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Build(context.Background(), &BuildRequest{Config: "C", Sources: testSources(t)}); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/stats status %d", resp.StatusCode)
+	}
+	var stats ServerStats
+	dec := json.NewDecoder(resp.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&stats); err != nil {
+		t.Fatalf("decode /v1/stats: %v", err)
+	}
+	if stats.Fingerprint == "" {
+		t.Error("stats fingerprint is empty")
+	}
+	wantGauges := []string{"served.inflight", "served.queue_depth", "served.running"}
+	if len(stats.Gauges) != len(wantGauges) {
+		t.Errorf("gauges = %v, want exactly %v", stats.Gauges, wantGauges)
+	}
+	for _, g := range wantGauges {
+		if _, ok := stats.Gauges[g]; !ok {
+			t.Errorf("gauge %s missing from %v", g, stats.Gauges)
+		}
+	}
+	for _, c := range []string{"served.requests", "served.builds"} {
+		if stats.Counters[c] != 1 {
+			t.Errorf("counter %s = %d, want 1", c, stats.Counters[c])
+		}
+	}
 }

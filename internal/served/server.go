@@ -48,7 +48,6 @@ import (
 	"ipra"
 	"ipra/internal/parv"
 	"ipra/internal/pipeline"
-	"ipra/internal/profagg"
 	"ipra/internal/telemetry"
 )
 
@@ -73,9 +72,6 @@ type Options struct {
 	// TrainInstrs is the default training-run budget for profiled
 	// configurations when the request leaves it zero.
 	TrainInstrs uint64
-	// ProfilePrograms bounds the profile-aggregation store's in-memory
-	// per-program states (internal/profagg); 0 means 128.
-	ProfilePrograms int
 	// Fingerprint overrides the toolchain fingerprint guarding all
 	// served state; empty uses ipra.ToolchainFingerprint(). Tests use
 	// the override to prove stale-state rejection.
@@ -220,8 +216,7 @@ type Server struct {
 	flights map[string]*inflight
 	dirLock map[string]*dirMutex // per-build-dir serialization, refcounted
 
-	results  *resultCache
-	profiles *profagg.Store
+	results *resultCache
 
 	// buildFn runs one deduplicated build; tests wrap it to hold builds
 	// open and provoke dedup/saturation deterministically.
@@ -268,17 +263,6 @@ func New(opts Options) *Server {
 		dirLock:     make(map[string]*dirMutex),
 		results:     newResultCache(cacheMax),
 	}
-	var dir func(string) string
-	if opts.StateDir != "" {
-		stateDir := opts.StateDir
-		dir = func(program string) string { return filepath.Join(stateDir, program) }
-	}
-	s.profiles = profagg.New(profagg.Options{
-		Fingerprint: fp,
-		Dir:         dir,
-		MaxPrograms: opts.ProfilePrograms,
-		Tracer:      tr,
-	})
 	s.buildFn = s.runBuild
 	return s
 }
@@ -317,8 +301,20 @@ func (s *Server) Build(ctx context.Context, req *BuildRequest) (*BuildResponse, 
 	if err := req.Validate(); err != nil {
 		return nil, &RequestError{Err: err}
 	}
-	if _, err := ipra.PresetByName(req.Config); err != nil {
+	cfg, err := ipra.PresetByName(req.Config)
+	if err != nil {
 		return nil, &RequestError{Err: err}
+	}
+	// Resolve the training budget before keying, so requests that spell
+	// the same build differently share a key: a preset that never trains
+	// ignores TrainInstrs, and 0 means the server default.
+	r := *req
+	req = &r
+	switch {
+	case !cfg.WantProfile:
+		req.TrainInstrs = 0
+	case req.TrainInstrs == 0:
+		req.TrainInstrs = s.opts.TrainInstrs
 	}
 	if s.draining.Load() {
 		return nil, ErrDraining
@@ -327,21 +323,8 @@ func (s *Server) Build(ctx context.Context, req *BuildRequest) (*BuildResponse, 
 	defer s.inflightN.Add(-1)
 	s.tracer.Add("served.requests", 1)
 
-	// When a drift-triggered re-analysis has committed this program to a
-	// fleet-aggregated allocation, every build of it uses the aggregate's
-	// mean profile, and the aggregate's content hash extends the request
-	// key so results from different aggregate states never alias.
-	if req.aggProfile == nil {
-		if hash, prof, ok := s.profiles.ActiveAggregate(req.ProgramKey()); ok {
-			req.aggHash, req.aggProfile = hash, prof
-		}
-	}
-
 	began := time.Now()
 	key := req.Key(s.fingerprint)
-	if req.aggHash != "" {
-		key += "|agg:" + req.aggHash
-	}
 	if out, ok := s.results.get(key); ok {
 		s.tracer.Add("served.result_hits", 1)
 		out.RequestID = s.nextID.Add(1)
@@ -439,17 +422,7 @@ func (s *Server) runBuild(ctx context.Context, req *BuildRequest) (*BuildRespons
 	reqTracer := telemetry.New()
 	opts := []ipra.BuildOption{ipra.WithTelemetry(reqTracer)}
 	if cfg.WantProfile {
-		if req.aggProfile != nil {
-			// The program serves from its fleet aggregate: the mean
-			// profile replaces the training run entirely.
-			opts = append(opts, ipra.WithAggregatedProfile(req.aggProfile))
-		} else {
-			instrs := req.TrainInstrs
-			if instrs == 0 {
-				instrs = s.opts.TrainInstrs
-			}
-			opts = append(opts, ipra.WithProfile(instrs))
-		}
+		opts = append(opts, ipra.WithProfile(req.TrainInstrs))
 	}
 	if req.Verify {
 		opts = append(opts, ipra.WithVerify())
@@ -487,10 +460,6 @@ func (s *Server) runBuild(ctx context.Context, req *BuildRequest) (*BuildRespons
 		Counters:     reqTracer.Counters(),
 		ElapsedMS:    float64(time.Since(began).Microseconds()) / 1000,
 	}
-	if res.Program.DB != nil {
-		resp.DirectiveHash = res.Program.DB.Hash()
-	}
-	s.registerProfileModel(req, cfg, res, resp.DirectiveHash)
 	if out := res.Incremental; out != nil {
 		resp.Incremental = &IncrementalSummary{
 			StateReset:     out.StateReset,
@@ -555,78 +524,6 @@ func (s *Server) dirLocks() int {
 	return len(s.dirLock)
 }
 
-// registerProfileModel installs or refreshes the program's drift model
-// after a profile-carrying build: a training build registers the trained
-// order (resetting any aggregate measured under older directives), an
-// aggregated build re-pins the aggregate to the new allocation. The
-// request clone retained as the model's context is what a later drift
-// detection replays through Build.
-func (s *Server) registerProfileModel(req *BuildRequest, cfg ipra.Config, res *ipra.BuildResult, directiveHash string) {
-	if !cfg.WantProfile || directiveHash == "" {
-		return
-	}
-	program := req.ProgramKey()
-	switch {
-	case req.aggProfile != nil:
-		model, err := profagg.NewDriftModel(res.Program.Summaries, cfg.Analyzer.Filter, cfg.Jobs, req.aggProfile, directiveHash)
-		if err != nil {
-			s.logf("profagg: %s: drift model: %v", program, err)
-			return
-		}
-		s.profiles.RegisterRetrained(program, model, req.clone())
-	case res.Train != nil && res.Train.Profile != nil:
-		model, err := profagg.NewDriftModel(res.Program.Summaries, cfg.Analyzer.Filter, cfg.Jobs, res.Train.Profile, directiveHash)
-		if err != nil {
-			s.logf("profagg: %s: drift model: %v", program, err)
-			return
-		}
-		s.profiles.Register(program, model, req.clone())
-	}
-}
-
-// IngestProfile merges one fleet record and, when the merged aggregate
-// drifts from the trained order, replays the program's build request
-// against the aggregate — the in-process form of POST /v1/profile.
-func (s *Server) IngestProfile(ctx context.Context, rec *profagg.Record) (*ProfileIngestResponse, error) {
-	res, err := s.profiles.Ingest(rec)
-	if err != nil {
-		return nil, err
-	}
-	out := &ProfileIngestResponse{
-		Accepted:   res.Accepted,
-		Reason:     res.Reason,
-		Runs:       res.Runs,
-		Records:    res.Records,
-		ModelReady: res.ModelReady,
-		Drifted:    res.Drifted,
-	}
-	if !res.Drifted {
-		return out, nil
-	}
-	meta, ok := s.profiles.BeginRetrain(rec.Program)
-	if !ok {
-		return out, nil
-	}
-	req, ok := meta.(*BuildRequest)
-	if !ok {
-		s.profiles.AbortRetrain(rec.Program)
-		return out, nil
-	}
-	began := time.Now()
-	resp, err := s.Build(ctx, req.clone())
-	if err != nil {
-		s.profiles.AbortRetrain(rec.Program)
-		s.logf("profagg: %s: re-analysis failed: %v", rec.Program, err)
-		return out, nil
-	}
-	s.tracer.Add("profagg.reanalyses", 1)
-	s.tracer.Add("profagg.reanalysis_ms", time.Since(began).Milliseconds())
-	out.Reanalyzed = true
-	out.DirectiveHash = resp.DirectiveHash
-	s.logf("profagg: %s: drift after %d runs, re-analyzed in %.0fms", rec.Program, res.Runs, resp.ElapsedMS)
-	return out, nil
-}
-
 // mergeCounters folds one request tracer's counters into the server
 // totals.
 func mergeCounters(dst, src *telemetry.Tracer) {
@@ -656,8 +553,6 @@ const maxRequestBytes = 256 << 20
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/build", s.handleBuild)
-	mux.HandleFunc("/v1/profile", s.handleProfile)
-	mux.HandleFunc("/v1/profile/snapshot", s.handleProfileSnapshot)
 	mux.HandleFunc("/v1/stats", s.handleStats)
 	mux.HandleFunc("/v1/health", s.handleHealth)
 	return mux
@@ -737,44 +632,6 @@ func isInternalError(err error) bool {
 	var linkErr *os.LinkError
 	var sysErr *os.SyscallError
 	return errors.As(err, &pathErr) || errors.As(err, &linkErr) || errors.As(err, &sysErr)
-}
-
-func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required", Reason: ReasonBadRequest})
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error(), Reason: ReasonBadRequest})
-		return
-	}
-	rec, err := profagg.DecodeRecord(body)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error(), Reason: ReasonBadRequest})
-		return
-	}
-	resp, err := s.IngestProfile(r.Context(), rec)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error(), Reason: ReasonBadRequest})
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleProfileSnapshot(w http.ResponseWriter, r *http.Request) {
-	program := r.URL.Query().Get("program")
-	if program == "" {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "program query parameter required", Reason: ReasonBadRequest})
-		return
-	}
-	data, ok := s.profiles.Snapshot(program)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no aggregate for program " + program})
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(data)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -325,7 +325,6 @@ type BuildOption func(*buildSettings)
 type buildSettings struct {
 	profiled    bool
 	trainInstrs uint64
-	aggProfile  *parv.Profile
 	buildDir    string
 	tracer      *telemetry.Tracer
 	stderr      io.Writer
@@ -343,18 +342,6 @@ func WithProfile(maxInstrs uint64) BuildOption {
 		s.profiled = true
 		s.trainInstrs = maxInstrs
 	}
-}
-
-// WithAggregatedProfile supplies exact call counts collected outside this
-// build — typically a fleet aggregate's mean profile (internal/profagg) —
-// instead of running a training pass. The analyzer consumes p exactly as
-// it would a fresh training run's profile, so the output is byte-identical
-// to a WithProfile build whose training run happened to produce p. When
-// combined with WithProfile, the aggregated profile wins and the training
-// run is skipped (that is what a drift-triggered re-analysis wants: same
-// request, counts replaced by the fleet's).
-func WithAggregatedProfile(p *parv.Profile) BuildOption {
-	return func(s *buildSettings) { s.aggProfile = p }
 }
 
 // WithBuildDir makes the build incremental against a persistent build
@@ -473,13 +460,7 @@ func Build(ctx context.Context, sources []Source, cfg Config, opts ...BuildOptio
 // training pass, then the final compile.
 func runBuild(ctx context.Context, sources []Source, cfg Config, s buildSettings, res *BuildResult) error {
 	var train *Program
-	switch {
-	case s.aggProfile != nil:
-		// Externally supplied counts replace the training pass entirely:
-		// the profile is wired through the analyzer exactly as a training
-		// run's would be.
-		cfg.Profile = s.aggProfile
-	case s.profiled:
+	if s.profiled {
 		// Profile-guided (§6.1): compile with heuristic counts, run once
 		// to collect call counts, then re-analyze and re-run phase 2 with
 		// the profile. Incremental builds keep the training pass's state in a
