@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"ipra/internal/parv"
 	"ipra/internal/progen"
 )
 
@@ -151,25 +152,28 @@ func TestBuildEntryPoints(t *testing.T) {
 	}
 }
 
-// TestConfigProfileMatchesWithProfile pins the rule that lets a caller
-// with call counts already in hand skip training: setting Config.Profile
-// to a training run's counts builds the same executable as WithProfile,
-// in memory, through a build directory, and on a no-edit rebuild of it.
-func TestConfigProfileMatchesWithProfile(t *testing.T) {
-	ctx := context.Background()
-	sources := progenSources(progen.Generate(progen.Config{
+// configProfileSources is a program whose call counts change preset B's
+// allocation, so the Config.Profile comparisons below do not hold
+// vacuously.
+func configProfileSources() []Source {
+	return progenSources(progen.Generate(progen.Config{
 		Seed: 5, Modules: 3, ProcsPerModule: 8, Globals: 32,
 		SubsystemSize: 4, Recursion: true, Statics: true, LoopIters: 3,
 	}))
+}
+
+// TestConfigProfileMatchesWithProfile pins the rule that lets a caller
+// with call counts already in hand skip training: setting Config.Profile
+// to a training run's counts builds the same executable as WithProfile.
+func TestConfigProfileMatchesWithProfile(t *testing.T) {
+	ctx := context.Background()
+	sources := configProfileSources()
 	cfg := MustPreset("B")
 
-	// The program is chosen so its training counts change B's allocation;
-	// otherwise every comparison below would hold vacuously.
 	heuristic, err := Build(ctx, sources, cfg)
 	if err != nil {
 		t.Fatalf("heuristic build: %v", err)
 	}
-
 	trained, err := Build(ctx, sources, cfg, WithProfile(5_000_000))
 	if err != nil {
 		t.Fatalf("profiled build: %v", err)
@@ -184,12 +188,66 @@ func TestConfigProfileMatchesWithProfile(t *testing.T) {
 
 	counted := cfg
 	counted.Profile = trained.Train.Profile
+	res, err := Build(ctx, sources, counted)
+	if err != nil {
+		t.Fatalf("Config.Profile build: %v", err)
+	}
+	if res.Train != nil {
+		t.Error("Config.Profile build ran a training pass")
+	}
+	if !bytes.Equal(want, exeBytes(t, res.Exe)) {
+		t.Error("Config.Profile build differs from the WithProfile build")
+	}
+}
+
+// TestConfigProfileByteIdentity pins that an externally supplied profile
+// (here a training run's call counts reversed in rank, so it matches no
+// run of the program) builds one executable whatever the route: in
+// memory, verified, through a build directory, and on a no-edit rebuild
+// of it. None of the routes trains.
+func TestConfigProfileByteIdentity(t *testing.T) {
+	ctx := context.Background()
+	sources := configProfileSources()
+	cfg := MustPreset("B")
+
+	trained, err := Build(ctx, sources, cfg, WithProfile(5_000_000))
+	if err != nil {
+		t.Fatalf("profiled build: %v", err)
+	}
+	if trained.Train == nil || trained.Train.Profile == nil {
+		t.Fatal("profiled build produced no training profile")
+	}
+	var top uint64
+	for _, n := range trained.Train.Profile.Calls {
+		top = max(top, n)
+	}
+	external := &parv.Profile{Calls: map[string]uint64{}}
+	for fn, n := range trained.Train.Profile.Calls {
+		external.Calls[fn] = top - n + 1
+	}
+
+	heuristic, err := Build(ctx, sources, cfg)
+	if err != nil {
+		t.Fatalf("heuristic build: %v", err)
+	}
+	counted := cfg
+	counted.Profile = external
+	first, err := Build(ctx, sources, counted)
+	if err != nil {
+		t.Fatalf("in-memory build: %v", err)
+	}
+	want := exeBytes(t, first.Exe)
+	if bytes.Equal(want, exeBytes(t, heuristic.Exe)) {
+		t.Fatal("the external profile does not change this program's B executable")
+	}
+
 	dir := t.TempDir()
 	for _, c := range []struct {
 		name string
 		opts []BuildOption
 	}{
 		{"in memory", nil},
+		{"verified", []BuildOption{WithVerify()}},
 		{"build dir", []BuildOption{WithBuildDir(dir)}},
 		{"no-edit rebuild", []BuildOption{WithBuildDir(dir)}},
 	} {
@@ -201,7 +259,7 @@ func TestConfigProfileMatchesWithProfile(t *testing.T) {
 			t.Errorf("%s: Config.Profile build ran a training pass", c.name)
 		}
 		if !bytes.Equal(want, exeBytes(t, res.Exe)) {
-			t.Errorf("%s: Config.Profile build differs from the WithProfile build", c.name)
+			t.Errorf("%s: Config.Profile build differs from the in-memory build", c.name)
 		}
 	}
 }
