@@ -4,8 +4,8 @@
 // summary hashes so a later run can tell exactly which slices an edit
 // invalidated. AnalyzeIncremental (incremental.go) consumes a State to
 // rebuild only the dirty region; this file defines the State itself, its
-// construction from a finished Result, and a flat binary encoding for the
-// build directory.
+// construction from a finished Result, and its encoding for the build
+// directory (internal/wire kind "analyzer-state").
 //
 // The encoding is deliberately explicit. Per-node In edge lists are
 // serialized as (from-node, out-index) pairs rather than re-derived,
@@ -14,9 +14,7 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 
 	"ipra/internal/callgraph"
@@ -25,11 +23,8 @@ import (
 	"ipra/internal/refsets"
 	"ipra/internal/summary"
 	"ipra/internal/webs"
+	"ipra/internal/wire"
 )
-
-// stateMagic versions the analyzer state encoding; decoding anything else
-// fails, and the caller falls back to a full analysis.
-const stateMagic = "ipra-analyzer-state/v1"
 
 // moduleStamp records what the analyzer last saw of one module: enough to
 // detect a change (Hash), locate it (RecHashes per procedure), and rebuild
@@ -177,186 +172,56 @@ func NewState(res *Result, summaries []*summary.ModuleSummary, opt Options) *Sta
 }
 
 // ----------------------------------------------------------------------------
-// Binary encoding
+// Wire encoding
 
-type stateEnc struct{ b []byte }
-
-func (e *stateEnc) u(v uint64)  { e.b = binary.AppendUvarint(e.b, v) }
-func (e *stateEnc) i(v int64)   { e.b = binary.AppendVarint(e.b, v) }
-func (e *stateEnc) bool(v bool) { e.b = append(e.b, b2u(v)) }
-func (e *stateEnc) s(s string)  { e.u(uint64(len(s))); e.b = append(e.b, s...) }
-func (e *stateEnc) f(v float64) { e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v)) }
-func (e *stateEnc) w(v uint64)  { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *stateEnc) strs(ss []string) {
-	e.u(uint64(len(ss)))
-	for _, s := range ss {
-		e.s(s)
-	}
-}
-func (e *stateEnc) ints(vs []int) {
-	e.u(uint64(len(vs)))
-	for _, v := range vs {
-		e.u(uint64(v))
-	}
-}
-
-func b2u(v bool) byte {
-	if v {
-		return 1
-	}
-	return 0
-}
-
-type stateDec struct {
-	b   []byte
-	err error
-}
-
-func (d *stateDec) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("core: truncated analyzer state")
-	}
-	d.b = nil
-}
-
-func (d *stateDec) u() uint64 {
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *stateDec) i() int64 {
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *stateDec) bool() bool {
-	if len(d.b) < 1 {
-		d.fail()
-		return false
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v != 0
-}
-
-func (d *stateDec) s() string {
-	n := d.u()
-	if uint64(len(d.b)) < n {
-		d.fail()
-		return ""
-	}
-	v := string(d.b[:n])
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *stateDec) f() float64 {
-	if len(d.b) < 8 {
-		d.fail()
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b))
-	d.b = d.b[8:]
-	return v
-}
-
-func (d *stateDec) w() uint64 {
-	if len(d.b) < 8 {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b)
-	d.b = d.b[8:]
-	return v
-}
-
-// count reads a collection length and bounds it: every serialized element
-// occupies at least one byte, so a length beyond the remaining buffer is
-// corruption, not a huge allocation to attempt.
-func (d *stateDec) count() int {
-	n := d.u()
-	if n > uint64(len(d.b)) {
-		d.fail()
-		return 0
-	}
-	return int(n)
-}
-
-func (d *stateDec) strs() []string {
-	n := d.count()
-	if n == 0 {
-		return nil
-	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = d.s()
-	}
-	return out
-}
-
-func (d *stateDec) ints() []int {
-	n := d.count()
-	if n == 0 {
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(d.u())
-	}
-	return out
-}
+// Wire format identity of the analyzer state. Bump the version whenever
+// the body layout changes; a state that fails to decode only costs the
+// next build a full analysis.
+const (
+	stateWireKind    = "analyzer-state"
+	stateWireVersion = 1
+)
 
 // Encode serializes the state for the build directory. The in-memory
 // Result is not part of the encoding; a decoded state re-derives its
 // Result through AnalyzeIncremental's reuse pipeline.
 func (st *State) Encode() []byte {
-	e := &stateEnc{b: make([]byte, 0, 1<<16)}
-	e.s(stateMagic)
-	e.s(st.optKey)
-	e.s(st.unsupported)
-	e.u(uint64(len(st.stamps)))
+	e := wire.NewEncoder(stateWireKind, stateWireVersion)
+	e.Str(st.optKey)
+	e.Str(st.unsupported)
+	e.U(uint64(len(st.stamps)))
 	for i := range st.stamps {
 		m := &st.stamps[i]
-		e.s(m.Name)
-		e.s(m.Hash)
-		e.strs(m.Procs)
-		e.strs(m.RecHashes)
-		e.strs(m.AddrTaken)
+		e.Str(m.Name)
+		e.Str(m.Hash)
+		e.Strs(m.Procs)
+		e.Strs(m.RecHashes)
+		e.Strs(m.AddrTaken)
 	}
 	if st.unsupported != "" {
-		return e.b
+		return e.Finish()
 	}
-	e.s(st.nodeSeq)
-	e.s(st.sccSig)
+	e.Str(st.nodeSeq)
+	e.Str(st.sccSig)
 
 	g := st.g
-	e.u(uint64(len(g.Nodes)))
+	e.U(uint64(len(g.Nodes)))
 	for _, nd := range g.Nodes {
-		e.s(nd.Name)
-		e.s(nd.Module)
-		e.u(uint64(nd.SCC))
-		e.bool(nd.Recursive)
-		e.i(int64(nd.IDom))
-		e.u(uint64(nd.DomDepth))
-		e.f(nd.Count)
+		e.Str(nd.Name)
+		e.Str(nd.Module)
+		e.U(uint64(nd.SCC))
+		e.Bool(nd.Recursive)
+		e.I(int64(nd.IDom))
+		e.U(uint64(nd.DomDepth))
+		e.F64(nd.Count)
 	}
 	for _, nd := range g.Nodes {
-		e.u(uint64(len(nd.Out)))
+		e.U(uint64(len(nd.Out)))
 		for _, edge := range nd.Out {
-			e.u(uint64(edge.To))
-			e.i(edge.LocalFreq)
-			e.bool(edge.Indirect)
-			e.f(edge.Count)
+			e.U(uint64(edge.To))
+			e.I(edge.LocalFreq)
+			e.Bool(edge.Indirect)
+			e.F64(edge.Count)
 		}
 	}
 	outIdx := make(map[*callgraph.Edge]int)
@@ -366,102 +231,109 @@ func (st *State) Encode() []byte {
 		}
 	}
 	for _, nd := range g.Nodes {
-		e.u(uint64(len(nd.In)))
+		e.U(uint64(len(nd.In)))
 		for _, edge := range nd.In {
-			e.u(uint64(edge.From))
-			e.u(uint64(outIdx[edge]))
+			e.U(uint64(edge.From))
+			e.U(uint64(outIdx[edge]))
 		}
 	}
-	e.ints(g.Starts)
+	e.Ints(g.Starts)
 	for _, v := range st.needs {
-		e.i(int64(v))
+		e.I(int64(v))
 	}
 
 	sets := st.sets
-	e.strs(sets.Vars)
+	e.Strs(sets.Vars)
 	words := 0
 	if len(g.Nodes) > 0 {
 		words = len(sets.LRef[0])
 	}
-	e.u(uint64(words))
+	e.U(uint64(words))
+	// Each family goes out as one word run, the image of the single
+	// backing array DecodeState gives it.
+	flat := make([]uint64, 0, len(g.Nodes)*words)
 	for _, fam := range [][]ir.BitSet{sets.LRef, sets.PRef, sets.CRef} {
+		flat = flat[:0]
 		for _, bs := range fam {
-			for _, word := range bs {
-				e.w(word)
-			}
+			flat = append(flat, bs...)
 		}
+		e.Words(flat)
 	}
 
 	for _, ws := range st.perVar {
-		e.u(uint64(len(ws)))
+		e.U(uint64(len(ws)))
 		for _, w := range ws {
-			e.bool(w.FromCycle)
-			e.f(w.Priority)
-			e.f(w.RefWeight)
-			e.f(w.EntryWeight)
-			e.u(uint64(w.LRefNodes))
-			e.ints(w.Entries)
-			e.ints(w.Nodes.Elems(nil))
+			e.Bool(w.FromCycle)
+			e.F64(w.Priority)
+			e.F64(w.RefWeight)
+			e.F64(w.EntryWeight)
+			e.U(uint64(w.LRefNodes))
+			e.Ints(w.Entries)
+			e.Ints(w.Nodes.Elems(nil))
 		}
 	}
 
-	if st.clusters == nil {
-		e.bool(false)
-	} else {
-		e.bool(true)
-		e.u(uint64(len(st.clusters.Clusters)))
+	e.Bool(st.clusters != nil)
+	if st.clusters != nil {
+		e.U(uint64(len(st.clusters.Clusters)))
 		for _, c := range st.clusters.Clusters {
-			e.u(uint64(c.Root))
-			e.ints(c.Members)
+			e.U(uint64(c.Root))
+			e.Ints(c.Members)
 		}
 		roots := make([]int, 0, len(st.clusters.MemberRoot))
 		for m := range st.clusters.MemberRoot {
 			roots = append(roots, m)
 		}
 		sort.Ints(roots)
-		e.u(uint64(len(roots)))
+		e.U(uint64(len(roots)))
 		for _, m := range roots {
-			e.u(uint64(m))
-			e.u(uint64(st.clusters.MemberRoot[m]))
+			e.U(uint64(m))
+			e.U(uint64(st.clusters.MemberRoot[m]))
 		}
 	}
-	return e.b
+	return e.Finish()
 }
 
 // DecodeState rebuilds a State from Encode's output. Node Rec pointers
 // and the merged global table are not serialized; AnalyzeIncremental
 // rebinds them from the current summaries before any stage runs.
 func DecodeState(data []byte) (*State, error) {
-	d := &stateDec{b: data}
-	if magic := d.s(); magic != stateMagic {
-		return nil, fmt.Errorf("core: analyzer state version mismatch (got %q, want %q)", magic, stateMagic)
+	d, err := wire.NewDecoder(data, stateWireKind, stateWireVersion)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	fail := func() (*State, error) {
+		if d.Err() != nil {
+			return nil, fmt.Errorf("core: %w", d.Err())
+		}
+		return nil, fmt.Errorf("core: inconsistent analyzer state")
 	}
 	st := &State{
-		optKey:      d.s(),
-		unsupported: d.s(),
+		optKey:      d.Str(),
+		unsupported: d.Str(),
 	}
-	st.stamps = make([]moduleStamp, d.count())
+	st.stamps = make([]moduleStamp, d.Count(1))
 	for i := range st.stamps {
 		m := &st.stamps[i]
-		m.Name = d.s()
-		m.Hash = d.s()
-		m.Procs = d.strs()
-		m.RecHashes = d.strs()
-		m.AddrTaken = d.strs()
+		m.Name = d.Str()
+		m.Hash = d.Str()
+		m.Procs = d.Strs()
+		m.RecHashes = d.Strs()
+		m.AddrTaken = d.Strs()
 		if len(m.RecHashes) != len(m.Procs) {
-			d.fail()
+			return fail()
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
 	if st.unsupported != "" {
+		if err := d.Finish(); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
 		return st, nil
 	}
-	st.nodeSeq = d.s()
-	st.sccSig = d.s()
+	st.nodeSeq = d.Str()
+	st.sccSig = d.Str()
 
-	n := d.count()
+	n := d.Count(1)
 	nodes := make([]*callgraph.Node, n)
 	// Decoded records are slab-allocated: the node count is known up
 	// front, and edges are carved from chunks, so a decode allocates per
@@ -471,115 +343,99 @@ func DecodeState(data []byte) (*State, error) {
 		nodes[id] = &nodeSlab[id]
 		*nodes[id] = callgraph.Node{
 			ID:        id,
-			Name:      d.s(),
-			Module:    d.s(),
-			SCC:       int(d.u()),
-			Recursive: d.bool(),
-			IDom:      int(d.i()),
-			DomDepth:  int(d.u()),
-			Count:     d.f(),
+			Name:      d.Str(),
+			Module:    d.Str(),
+			SCC:       int(d.U()),
+			Recursive: d.Bool(),
+			IDom:      int(d.I()),
+			DomDepth:  int(d.U()),
+			Count:     d.F64(),
 		}
 	}
 	var edgeSlab []callgraph.Edge
-	newEdge := func() *callgraph.Edge {
-		if len(edgeSlab) == 0 {
-			edgeSlab = make([]callgraph.Edge, 1024)
-		}
-		e := &edgeSlab[0]
-		edgeSlab = edgeSlab[1:]
-		return e
-	}
 	for id := range nodes {
-		m := d.count()
+		m := d.Count(1)
 		if m == 0 {
 			continue
 		}
 		nodes[id].Out = make([]*callgraph.Edge, m)
 		for k := range nodes[id].Out {
-			to := int(d.u())
-			if to < 0 || to >= n {
-				d.fail()
-				to = 0
+			to := d.U()
+			if to >= uint64(n) {
+				return fail()
 			}
-			e := newEdge()
+			if len(edgeSlab) == 0 {
+				edgeSlab = make([]callgraph.Edge, 1024)
+			}
+			e := &edgeSlab[0]
+			edgeSlab = edgeSlab[1:]
 			*e = callgraph.Edge{
 				From:      id,
-				To:        to,
-				LocalFreq: d.i(),
-				Indirect:  d.bool(),
-				Count:     d.f(),
+				To:        int(to),
+				LocalFreq: d.I(),
+				Indirect:  d.Bool(),
+				Count:     d.F64(),
 			}
 			nodes[id].Out[k] = e
 		}
 	}
 	for id := range nodes {
-		m := d.count()
+		m := d.Count(1)
 		if m == 0 {
 			continue
 		}
 		nodes[id].In = make([]*callgraph.Edge, m)
 		for k := range nodes[id].In {
-			from := int(d.u())
-			outIdx := int(d.u())
-			if from < 0 || from >= n || outIdx < 0 || outIdx >= len(nodes[from].Out) || nodes[from].Out[outIdx].To != id {
-				d.fail()
-				return nil, d.err
+			from, outIdx := d.U(), d.U()
+			if from >= uint64(n) || outIdx >= uint64(len(nodes[from].Out)) || nodes[from].Out[outIdx].To != id {
+				return fail()
 			}
 			nodes[id].In[k] = nodes[from].Out[outIdx]
 		}
 	}
-	starts := d.ints()
+	starts := d.Ints()
 	for _, s := range starts {
 		if s < 0 || s >= n {
-			d.fail()
+			return fail()
 		}
 	}
 	st.needs = make([]int, n)
 	for i := range st.needs {
-		st.needs[i] = int(d.i())
+		st.needs[i] = int(d.I())
 	}
-	if d.err != nil {
-		return nil, d.err
+	if d.Err() != nil {
+		return fail()
 	}
 	st.g = callgraph.Restore(nodes, starts)
 
-	vars := d.strs()
-	words := d.count()
+	vars := d.Strs()
+	words := d.Count(1)
 	sets := &refsets.Sets{Vars: vars, Index: make(map[string]int, len(vars))}
 	for i, v := range vars {
 		sets.Index[v] = i
 	}
+	// One backing array per family, mirroring refsets.Compute.
 	readFam := func() []ir.BitSet {
-		fam := make([]ir.BitSet, n)
-		// A family occupies n*words 8-byte words on the wire; a product
-		// beyond the remaining buffer is corruption, not an allocation to
-		// attempt (n and words are individually bounded, their product
-		// is not).
-		if uint64(n)*uint64(words) > uint64(len(d.b)/8) {
-			d.fail()
-			return fam
+		flat := d.Words()
+		if uint64(len(flat)) != uint64(n)*uint64(words) {
+			return nil
 		}
-		// One backing array per family, mirroring refsets.Compute.
-		backing := make(ir.BitSet, n*words)
+		fam := make([]ir.BitSet, n)
 		for i := range fam {
-			bs := backing[i*words : (i+1)*words : (i+1)*words]
-			for k := range bs {
-				bs[k] = d.w()
-			}
-			fam[i] = bs
+			fam[i] = flat[i*words : (i+1)*words : (i+1)*words]
 		}
 		return fam
 	}
-	sets.LRef = readFam()
-	sets.PRef = readFam()
-	sets.CRef = readFam()
+	if sets.LRef, sets.PRef, sets.CRef = readFam(), readFam(), readFam(); sets.LRef == nil || sets.PRef == nil || sets.CRef == nil {
+		return fail()
+	}
 	st.sets = sets
 
 	st.perVar = make([][]*webs.Web, len(vars))
 	var webSlab []webs.Web
 	var webBits ir.BitArena
 	for vi := range st.perVar {
-		m := d.count()
+		m := d.Count(1)
 		if m == 0 {
 			continue
 		}
@@ -591,17 +447,16 @@ func DecodeState(data []byte) (*State, error) {
 			w := &webSlab[0]
 			webSlab = webSlab[1:]
 			*w = webs.Web{Var: vars[vi], Color: -1}
-			w.FromCycle = d.bool()
-			w.Priority = d.f()
-			w.RefWeight = d.f()
-			w.EntryWeight = d.f()
-			w.LRefNodes = int(d.u())
-			w.Entries = d.ints()
+			w.FromCycle = d.Bool()
+			w.Priority = d.F64()
+			w.RefWeight = d.F64()
+			w.EntryWeight = d.F64()
+			w.LRefNodes = int(d.U())
+			w.Entries = d.Ints()
 			w.Nodes = webBits.New(n)
-			for _, id := range d.ints() {
+			for _, id := range d.Ints() {
 				if id < 0 || id >= n {
-					d.fail()
-					break
+					return fail()
 				}
 				w.Nodes.Set(id)
 			}
@@ -609,26 +464,26 @@ func DecodeState(data []byte) (*State, error) {
 		}
 	}
 
-	if d.bool() {
+	if d.Bool() {
 		id := &clusters.Identification{
 			RootCluster: make(map[int]*clusters.Cluster),
 			MemberRoot:  make(map[int]int),
 		}
-		id.Clusters = make([]*clusters.Cluster, d.count())
+		id.Clusters = make([]*clusters.Cluster, d.Count(1))
 		for k := range id.Clusters {
-			c := &clusters.Cluster{Root: int(d.u()), Members: d.ints()}
+			c := &clusters.Cluster{Root: int(d.U()), Members: d.Ints()}
 			id.Clusters[k] = c
 			id.RootCluster[c.Root] = c
 		}
-		pairs := d.count()
+		pairs := d.Count(2)
 		for k := 0; k < pairs; k++ {
-			m := int(d.u())
-			id.MemberRoot[m] = int(d.u())
+			m := int(d.U())
+			id.MemberRoot[m] = int(d.U())
 		}
 		st.clusters = id
 	}
-	if d.err != nil {
-		return nil, d.err
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	return st, nil
 }

@@ -15,8 +15,8 @@ import (
 
 // sourceKey hashes a module's name and source text together with a
 // fingerprint of everything else the phase-1 record depends on (the
-// toolchain fingerprint), in lowercase hexadecimal — the form the manifest
-// stores. Two sources collide only if every component matches. The byte
+// toolchain fingerprint), in lowercase hexadecimal — the form the build
+// state stores. Two sources collide only if every component matches. The byte
 // layout is part of the build-dir format: changing it invalidates every
 // stored record.
 func sourceKey(name string, text []byte, fingerprint string) string {
@@ -33,10 +33,12 @@ func sourceKey(name string, text []byte, fingerprint string) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// Wire format identity of a phase-1 record. The kind predates the build
-// directory being the only phase-1 store, and stays so existing build
-// directories remain readable. Bump the version whenever the body layout
-// — the module encoding, the summary encoding, or their order — changes.
+// Wire format identity of a phase-1 record. The kind is named for the
+// in-memory cache it once also fed; the name stays because its golden
+// fixture (testdata/wire/cache-entry-v1.bin) pins it, not for old build
+// directories, which the state's format version already retires. Bump the
+// version whenever the body layout — the module encoding, the summary
+// encoding, or their order — changes.
 const (
 	entryWireKind    = "cache-entry"
 	entryWireVersion = 1

@@ -54,7 +54,7 @@ func TestEntryFileRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, ms := testModule("m.mc"), testSummary("m.mc")
-	base, err := st.writePhase1("m.mc", m, ms)
+	base, err := st.writeArtifact("p1", EncodeEntry(m, ms))
 	if err != nil {
 		t.Fatal(err)
 	}

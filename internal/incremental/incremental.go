@@ -28,6 +28,13 @@
 // runs the same phases with no store — nothing is read or written, every
 // module is compiled, and no view or analyzer state is computed.
 //
+// A build commits by renaming one state record into place (see store.go),
+// so a build killed at any point leaves the previous commit usable. Two
+// builds may run on one directory at once without a lock: the later
+// commit wins, and modules whose artifacts the other build pruned are
+// rebuilt by the next build, each with a reason ("stored phase-1 record
+// unreadable", "stored object unreadable").
+//
 // The engine is toolchain-agnostic: callers inject the compiler phases as
 // a Toolchain of hooks (the ipra package wires its phase helpers in for
 // every ipra.Build, with or without WithBuildDir), which also keeps this
@@ -221,8 +228,7 @@ func Build(ctx context.Context, dir string, sources []Source, tc Toolchain, opts
 			dirty = append(dirty, out.Actions[i].Module)
 		}
 	}
-	prevAnalyzerState := st.loadAnalyzerState()
-	db, analyzerState, reuse, err := tc.Analyze(ctx, out.Summaries, dirty, prevAnalyzerState, st.persistent())
+	db, analyzerState, reuse, err := tc.Analyze(ctx, out.Summaries, dirty, st.prev.Analyzer, st.persistent())
 	if err != nil {
 		return nil, err
 	}
@@ -316,7 +322,7 @@ func Build(ctx context.Context, dir string, sources []Source, tc Toolchain, opts
 	out.Exe = exe
 
 	if st.persistent() {
-		if err := persist(ctx, st, out, hashes, eligible, views, analyzerState, prevAnalyzerState); err != nil {
+		if err := persist(ctx, st, out, hashes, eligible, views, analyzerState); err != nil {
 			return nil, err
 		}
 	}
@@ -344,13 +350,13 @@ func Build(ctx context.Context, dir string, sources []Source, tc Toolchain, opts
 }
 
 // persist stores the new state: fresh artifacts for rebuilt modules,
-// carried-over records for reused ones, then the manifest (atomically;
-// unreferenced artifacts are pruned) and the analyzer state. views holds
-// what the diff already computed; the rest are computed here.
-func persist(ctx context.Context, st *store, out *Outcome, hashes []string, eligible map[string]bool, views []*view, analyzerState, prevAnalyzerState []byte) error {
+// carried-over records for reused ones and the analyzer state, committed
+// in one state record (unreferenced artifacts are then pruned). views
+// holds what the diff already computed; the rest are computed here.
+func persist(ctx context.Context, st *store, out *Outcome, hashes []string, eligible map[string]bool, views []*view, analyzerState []byte) error {
 	_, span := telemetry.StartSpan(ctx, "persist")
 	defer span.End()
-	next := manifest{Modules: make(map[string]*moduleState, len(out.Actions))}
+	next := &buildState{Modules: make(map[string]*moduleState, len(out.Actions)), Analyzer: analyzerState}
 	for i, a := range out.Actions {
 		v := views[i]
 		if v == nil {
@@ -365,14 +371,14 @@ func persist(ctx context.Context, st *store, out *Outcome, hashes []string, elig
 		prev := st.prev.Modules[a.Module]
 		var err error
 		if a.Phase1Rebuilt {
-			if ms.Phase1File, err = st.writePhase1(a.Module, out.Modules[i], out.Summaries[i]); err != nil {
+			if ms.Phase1File, err = st.writeArtifact("p1", EncodeEntry(out.Modules[i], out.Summaries[i])); err != nil {
 				return err
 			}
 		} else {
 			ms.Phase1File = prev.Phase1File
 		}
 		if a.Phase2Rebuilt {
-			if ms.ObjectFile, err = st.writeObject(a.Module, out.Objects[i]); err != nil {
+			if ms.ObjectFile, err = st.writeArtifact("obj", parv.EncodeObject(out.Objects[i])); err != nil {
 				return err
 			}
 		} else {
@@ -380,13 +386,7 @@ func persist(ctx context.Context, st *store, out *Outcome, hashes []string, elig
 		}
 		next.Modules[a.Module] = ms
 	}
-	if err := st.save(next); err != nil {
-		return err
-	}
-	if analyzerState != nil {
-		return st.saveAnalyzerState(next, analyzerState, prevAnalyzerState)
-	}
-	return nil
+	return st.commit(next)
 }
 
 // view is every program-database fact one module's phase 2 reads (§4.3):

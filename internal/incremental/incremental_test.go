@@ -3,13 +3,13 @@ package incremental
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -341,35 +341,53 @@ func TestFingerprintMismatchDiscardsState(t *testing.T) {
 	}
 }
 
+// readState decodes a build directory's committed state.
+func readState(t *testing.T, dir string) *buildState {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, stateName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs, err := decodeState(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bs
+}
+
+func writeState(t *testing.T, dir string, bs *buildState) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, stateName), encodeState(bs), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCorruptManifestAndArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	ft := &fakeToolchain{}
 	mustBuild(t, dir, twoModules(), ft.toolchain(), Options{Jobs: 1})
 
-	// Corrupt manifest: full rebuild, no error.
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("not json"), 0o644); err != nil {
+	// Corrupt state: full rebuild, no error.
+	if err := os.WriteFile(filepath.Join(dir, stateName), []byte("not a wire file"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out := mustBuild(t, dir, twoModules(), ft.toolchain(), Options{Jobs: 1})
+	var buf bytes.Buffer
+	out := mustBuild(t, dir, twoModules(), ft.toolchain(), Options{Jobs: 1, Explain: &buf})
 	if !out.StateReset || out.Phase1Rebuilds != 2 {
-		t.Errorf("corrupt manifest: reset=%v rebuilds=%d, want full reset", out.StateReset, out.Phase1Rebuilds)
+		t.Errorf("corrupt state: reset=%v rebuilds=%d, want full reset", out.StateReset, out.Phase1Rebuilds)
+	}
+	if !strings.Contains(buf.String(), "discarding build state: unreadable build state") {
+		t.Errorf("explain output missing reset notice:\n%s", &buf)
 	}
 
 	// Corrupt one object file: that module silently recompiles.
-	var m manifest
-	data, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &m); err != nil {
-		t.Fatal(err)
-	}
-	objFile := m.Modules["lib.mc"].ObjectFile
+	bs := readState(t, dir)
+	objFile := bs.Modules["lib.mc"].ObjectFile
 	if err := os.WriteFile(filepath.Join(dir, objFile), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	ft.phase2Modules = nil
-	var buf bytes.Buffer
+	buf.Reset()
 	out = mustBuild(t, dir, twoModules(), ft.toolchain(), Options{Jobs: 1, Explain: &buf})
 	if out.Phase1Rebuilds != 0 || out.Phase2Rebuilds != 1 {
 		t.Errorf("corrupt object: rebuilds = %d/%d, want 0/1", out.Phase1Rebuilds, out.Phase2Rebuilds)
@@ -378,71 +396,56 @@ func TestCorruptManifestAndArtifacts(t *testing.T) {
 		t.Errorf("explain output:\n%s", &buf)
 	}
 
-	// A manifest pointing outside the build directory must not be followed.
-	m.Modules["lib.mc"].ObjectFile = "../escape.gob"
-	data, err = json.Marshal(&m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// A state entry pointing outside the build directory must not be followed.
+	bs = readState(t, dir)
+	bs.Modules["lib.mc"].ObjectFile = "../escape.wire"
+	writeState(t, dir, bs)
 	out = mustBuild(t, dir, twoModules(), ft.toolchain(), Options{Jobs: 1})
 	if out.Phase2Rebuilds != 1 {
-		t.Errorf("path-escaping manifest entry: rebuilds = %d, want 1 recompile", out.Phase2Rebuilds)
+		t.Errorf("path-escaping state entry: rebuilds = %d, want 1 recompile", out.Phase2Rebuilds)
 	}
 }
 
-// TestGobEraBuildDirTriggersFullRebuild simulates a build directory
-// written by the gob-era store (format v1, .gob artifact suffixes): the
-// fingerprint mismatch must force a full rebuild — never an attempt to
-// parse gob bytes as wire — and the save that follows must prune the
-// orphaned .gob artifacts.
+// TestGobEraBuildDirTriggersFullRebuild simulates build directories
+// written by older stores — the gob era (.gob artifacts) and the
+// manifest.json + analyzer.state era (module-named .wire artifacts): with
+// no state.wire, every module rebuilds with a reason, the old artifacts
+// are pruned, the old state files are ignored, and the next build reuses
+// everything.
 func TestGobEraBuildDirTriggersFullRebuild(t *testing.T) {
 	dir := t.TempDir()
 	ft := &fakeToolchain{}
 	tc := ft.toolchain()
 
-	// A gob-era directory: v1 fingerprint, artifacts named *.gob with
-	// contents the wire decoders would reject outright.
-	gobArtifacts := []string{"p1-main_mc-deadbeef.gob", "obj-main_mc-deadbeef.gob", "p1-lib_mc-cafef00d.gob", "obj-lib_mc-cafef00d.gob"}
-	old := manifest{
-		Fingerprint: "ipra-build/v1|" + tc.Fingerprint,
-		Modules: map[string]*moduleState{
-			"main.mc": {SourceHash: "stale", Phase1File: gobArtifacts[0], ObjectFile: gobArtifacts[1]},
-			"lib.mc":  {SourceHash: "stale", Phase1File: gobArtifacts[2], ObjectFile: gobArtifacts[3]},
-		},
-	}
-	data, err := json.Marshal(&old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range gobArtifacts {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("\x13\xff\x81gob-era bytes"), 0o644); err != nil {
+	oldArtifacts := []string{"p1-main_mc-deadbeef.gob", "obj-main_mc-deadbeef.gob", "p1-lib_mc-cafef00d.wire", "obj-lib_mc-cafef00d.wire"}
+	oldState := []string{"manifest.json", "analyzer.state"}
+	for _, name := range append(oldArtifacts, oldState...) {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("\x13\xff\x81older bytes"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	var buf bytes.Buffer
 	out := mustBuild(t, dir, twoModules(), tc, Options{Jobs: 1, Explain: &buf})
-	if !out.StateReset {
-		t.Error("gob-era build dir must be reported as a state reset")
-	}
 	if out.Phase1Rebuilds != 2 || out.Phase2Rebuilds != 2 {
 		t.Errorf("rebuilds = %d/%d, want full rebuild", out.Phase1Rebuilds, out.Phase2Rebuilds)
 	}
-	if !strings.Contains(buf.String(), "fingerprint mismatch") {
-		t.Errorf("explain output missing fingerprint-mismatch notice:\n%s", &buf)
+	for _, a := range out.Actions {
+		if a.Phase1Reason != "no previous build state" {
+			t.Errorf("%s: phase-1 reason %q, want \"no previous build state\"\n%s", a.Module, a.Phase1Reason, &buf)
+		}
 	}
 
-	// The stale gob artifacts are unreferenced by the new manifest and
-	// must have been pruned.
-	for _, name := range gobArtifacts {
+	// The old artifacts are unreferenced by the new state and must have
+	// been pruned; the old state files are left alone.
+	for _, name := range oldArtifacts {
 		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
-			t.Errorf("stale gob-era artifact %s survived the format upgrade", name)
+			t.Errorf("stale artifact %s survived the format upgrade", name)
+		}
+	}
+	for _, name := range oldState {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("old state file %s: %v", name, err)
 		}
 	}
 
@@ -450,6 +453,73 @@ func TestGobEraBuildDirTriggersFullRebuild(t *testing.T) {
 	out = mustBuild(t, dir, twoModules(), tc, Options{Jobs: 1})
 	if out.Phase1Rebuilds != 0 || out.Phase2Rebuilds != 0 {
 		t.Errorf("post-upgrade rebuild not clean: %d/%d", out.Phase1Rebuilds, out.Phase2Rebuilds)
+	}
+}
+
+// TestRestoredStateNeverReusesNewerArtifacts restores a committed state
+// after a later build of an edited source — what a build killed between
+// its artifact writes and its commit would leave if artifacts were
+// rewritten in place. Content-named artifacts make the restored state
+// safe: the rebuild must equal a clean build.
+func TestRestoredStateNeverReusesNewerArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	ft := &fakeToolchain{}
+	mustBuild(t, dir, twoModules(), ft.toolchain(), Options{Jobs: 1})
+	saved, err := os.ReadFile(filepath.Join(dir, stateName))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	edited := twoModules()
+	edited[1].Text = []byte("helper>leaf leaf extra")
+	mustBuild(t, dir, edited, ft.toolchain(), Options{Jobs: 1})
+
+	if err := os.WriteFile(filepath.Join(dir, stateName), saved, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, explain, _ := rebuildAndCheck(t, dir, twoModules(), ft)
+	for _, a := range out.Actions {
+		if (a.Phase1Rebuilt && a.Phase1Reason == "") || (a.Phase2Rebuilt && a.Phase2Reason == "") {
+			t.Errorf("%s rebuilt without a reason:\n%s", a.Module, explain)
+		}
+	}
+}
+
+// TestConcurrentBuildsShareOneDir runs two builds of different sources on
+// one directory at once. Both succeed, the later commit wins, and the
+// next build equals a clean build, naming a reason for every module it
+// rebuilds.
+func TestConcurrentBuildsShareOneDir(t *testing.T) {
+	edited := twoModules()
+	edited[1].Text = []byte("helper>leaf leaf extra")
+	for round := 0; round < 20; round++ {
+		dir := t.TempDir()
+		mustBuild(t, dir, twoModules(), (&fakeToolchain{}).toolchain(), Options{Jobs: 1})
+		pair := [][]Source{twoModules(), edited}
+		if round%2 == 1 {
+			pair[0], pair[1] = pair[1], pair[0]
+		}
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for i, srcs := range pair {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[i] = Build(context.Background(), dir, srcs, (&fakeToolchain{}).toolchain(), Options{Jobs: 2})
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d: concurrent build failed: %v", round, err)
+			}
+		}
+		out, explain, _ := rebuildAndCheck(t, dir, edited, &fakeToolchain{})
+		for _, a := range out.Actions {
+			if (a.Phase1Rebuilt && a.Phase1Reason == "") || (a.Phase2Rebuilt && a.Phase2Reason == "") {
+				t.Errorf("round %d: %s rebuilt without a reason:\n%s", round, a.Module, explain)
+			}
+		}
 	}
 }
 
@@ -467,9 +537,11 @@ func TestModuleRemovalPrunesArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bs := readState(t, dir)
+	want := map[string]bool{stateName: true, bs.Modules["main.mc"].Phase1File: true, bs.Modules["main.mc"].ObjectFile: true}
 	for _, e := range entries {
-		if strings.Contains(e.Name(), "lib_mc") {
-			t.Errorf("stale artifact %s survived module removal", e.Name())
+		if !want[e.Name()] {
+			t.Errorf("stale file %s survived module removal", e.Name())
 		}
 	}
 
@@ -568,10 +640,10 @@ func withAnalyzerHook(tc Toolchain, gotPrev *[][]byte) Toolchain {
 	return tc
 }
 
-// TestAnalyzerStatePersistence checks the analyzer.state round trip: the
-// first build sees no state, repeat builds see exactly what the previous
-// build persisted, and a manifest written without the state file (an older
-// binary's build) invalidates the stored state instead of offering it.
+// TestAnalyzerStatePersistence checks the analyzer state's round trip
+// through state.wire: the first build sees no state, repeat builds see
+// exactly what the previous build persisted, and a build whose hook kept
+// no state leaves none to offer.
 func TestAnalyzerStatePersistence(t *testing.T) {
 	dir := t.TempDir()
 	ft := &fakeToolchain{}
@@ -602,8 +674,8 @@ func TestAnalyzerStatePersistence(t *testing.T) {
 		t.Errorf("explain output missing analyzer reuse line:\n%s", &buf)
 	}
 
-	// An edited build still receives the state (it is bound to the manifest
-	// the state was saved with; the dirty list carries the change).
+	// An edited build still receives the state (the dirty list carries the
+	// change).
 	edited := twoModules()
 	edited[1].Text = []byte("helper>leaf leaf extra")
 	out = mustBuild(t, dir, edited, tc, Options{Jobs: 1})
@@ -614,16 +686,15 @@ func TestAnalyzerStatePersistence(t *testing.T) {
 		t.Errorf("edited build: DirtyModules = %d, want 1", out.Analyzer.DirtyModules)
 	}
 
-	// A build through a toolchain whose hook keeps no state — an older
-	// binary — advances the manifest without refreshing analyzer.state. The stored
-	// state now belongs to a different manifest generation and must be
-	// dropped, not offered.
+	// A build through a toolchain whose hook keeps no state commits a new
+	// state without an analyzer part. The state before it belongs to other
+	// sources and must not be offered.
 	older := twoModules()
 	older[0].Text = []byte("main>helper main>leaf main-extra")
 	mustBuild(t, dir, older, ft.toolchain(), Options{Jobs: 1})
 	out = mustBuild(t, dir, older, tc, Options{Jobs: 1})
 	if len(gotPrev) != 4 || gotPrev[3] != nil {
-		t.Fatalf("stale analyzer state offered after an out-of-band manifest update: %q", gotPrev[3])
+		t.Fatalf("stale analyzer state offered after a stateless build: %q", gotPrev[3])
 	}
 	if out.Analyzer == nil || out.Analyzer.Fallback == "" {
 		t.Errorf("stale-state build: Analyzer = %+v, want fallback", out.Analyzer)
@@ -631,7 +702,7 @@ func TestAnalyzerStatePersistence(t *testing.T) {
 }
 
 // TestAnalyzerStateSkipsNoOpWrite ensures a no-edit rebuild does not
-// rewrite analyzer.state when neither the sources nor the state moved.
+// rewrite state.wire when neither the sources nor the analyzer state moved.
 func TestAnalyzerStateSkipsNoOpWrite(t *testing.T) {
 	dir := t.TempDir()
 	ft := &fakeToolchain{}
@@ -639,7 +710,7 @@ func TestAnalyzerStateSkipsNoOpWrite(t *testing.T) {
 	tc := withAnalyzerHook(ft.toolchain(), &gotPrev)
 	mustBuild(t, dir, twoModules(), tc, Options{Jobs: 1})
 
-	path := filepath.Join(dir, analyzerStateName)
+	path := filepath.Join(dir, stateName)
 	before, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -656,6 +727,6 @@ func TestAnalyzerStateSkipsNoOpWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !after.ModTime().Equal(before.ModTime()) {
-		t.Error("no-op rebuild rewrote analyzer.state")
+		t.Error("no-op rebuild rewrote state.wire")
 	}
 }

@@ -1,31 +1,37 @@
-// The persistent build-state store: a build directory holding a JSON
-// manifest plus per-module phase-1 records and object files.
+// The persistent build-state store: a build directory holding one state
+// record plus content-named phase-1 records and object files.
 //
 // Layout:
 //
-//	<build-dir>/manifest.json    fingerprint + per-module state (below)
-//	<build-dir>/p1-<module>.wire phase-1 record (IR module + summary,
-//	                             EncodeEntry)
-//	<build-dir>/obj-<module>.wire compiled object (parv object encoding)
+//	<build-dir>/state.wire      the build state (wire kind "build-state")
+//	<build-dir>/p1-<hash>.wire  phase-1 record (IR module + summary,
+//	                            EncodeEntry)
+//	<build-dir>/obj-<hash>.wire compiled object (parv object encoding)
 //
-// The manifest records, per module: the phase-1 source hash, the names of
-// the two artifact files, and the module's phase-2 view of the program
-// database — a pdb.OwnView hash per function it defines, a
-// pdb.CalleeView (clobber-set) hash per procedure it calls directly, and
-// the globals it loads or stores that are eligible for intraprocedural
-// promotion. Everything is guarded by a
-// fingerprint combining the store format version with the caller's
+// An artifact's name is a hash of its bytes, so a name never receives
+// different content. The state records the fingerprint, the analyzer's
+// opaque state, and per module: the phase-1 source hash, the names of its
+// two artifacts, and the module's phase-2 view of the program database —
+// a pdb.OwnView hash per function it defines, a pdb.CalleeView
+// (clobber-set) hash per procedure it calls directly, and the globals it
+// loads or stores that are eligible for intraprocedural promotion.
+//
+// Every file is written to a uniquely named temp file and renamed into
+// place. The rename of state.wire is a build's only commit point: a build
+// killed before it leaves the previous state and every artifact that
+// state names intact, because pruning runs only after the commit.
+//
+// The fingerprint combines the store format version with the caller's
 // toolchain fingerprint; state written by a different format or toolchain
 // is rejected wholesale — stale artifacts must never survive a compiler
 // upgrade, because nothing else could tell them apart from fresh ones.
 package incremental
 
 import (
+	"bytes"
 	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -34,39 +40,123 @@ import (
 	"ipra/internal/ir"
 	"ipra/internal/parv"
 	"ipra/internal/summary"
+	"ipra/internal/wire"
 )
 
-// FormatVersion versions the build directory layout and manifest schema.
+// FormatVersion versions the build directory layout and state schema.
 // Bump it whenever either changes shape or meaning — including the
 // encoding of any artifact the directory stores — so older directories
 // are rebuilt from scratch instead of misread. v2: artifacts moved from
 // gob to the wire format (and .gob suffixes to .wire). v3: the manifest
 // records per-module phase-2 views instead of whole-directive hashes and
-// one program-wide eligibility hash.
-const FormatVersion = "ipra-build/v3"
+// one program-wide eligibility hash. v4: manifest.json and analyzer.state
+// became one state.wire record, and artifacts are named by content.
+const FormatVersion = "ipra-build/v4"
 
-const manifestName = "manifest.json"
+const stateName = "state.wire"
 
-// moduleState is the manifest record for one module.
+// Wire format identity of the build state record.
+const (
+	stateWireKind    = "build-state"
+	stateWireVersion = 1
+)
+
+// moduleState is the stored record for one module.
 type moduleState struct {
 	// SourceHash is the phase-1 content hash (module name + source text +
 	// toolchain fingerprint).
-	SourceHash string `json:"sourceHash"`
+	SourceHash string
 	// Phase1File / ObjectFile are base names inside the build directory.
-	Phase1File string `json:"phase1File"`
-	ObjectFile string `json:"objectFile"`
+	Phase1File string
+	ObjectFile string
 	// The module's phase-2 view (see view): own function -> OwnView
 	// hash, direct callee -> CalleeView hash, and the sorted eligible
 	// globals among those it loads or stores.
-	Directives map[string]string `json:"directives"`
-	Clobbers   map[string]string `json:"clobbers"`
-	Eligible   []string          `json:"eligible,omitempty"`
+	Directives map[string]string
+	Clobbers   map[string]string
+	Eligible   []string
 }
 
-// manifest is the whole persisted build state.
-type manifest struct {
-	Fingerprint string                  `json:"fingerprint"`
-	Modules     map[string]*moduleState `json:"modules"`
+// buildState is the whole persisted build state.
+type buildState struct {
+	Fingerprint string
+	Modules     map[string]*moduleState
+	// Analyzer is the Analyze hook's opaque state; nil when it kept none.
+	Analyzer []byte
+}
+
+// encodeState serializes a build state, modules and map entries in name
+// order, so equal states encode to equal bytes.
+func encodeState(bs *buildState) []byte {
+	e := wire.NewEncoder(stateWireKind, stateWireVersion)
+	e.Str(bs.Fingerprint)
+	names := sortedKeys(bs.Modules)
+	e.Strs(names)
+	for _, name := range names {
+		ms := bs.Modules[name]
+		e.Str(ms.SourceHash)
+		e.Str(ms.Phase1File)
+		e.Str(ms.ObjectFile)
+		appendHashes(e, ms.Directives)
+		appendHashes(e, ms.Clobbers)
+		e.Strs(ms.Eligible)
+	}
+	e.Bytes(bs.Analyzer)
+	return e.Finish()
+}
+
+// decodeState is the inverse of encodeState.
+func decodeState(data []byte) (*buildState, error) {
+	d, err := wire.NewDecoder(data, stateWireKind, stateWireVersion)
+	if err != nil {
+		return nil, err
+	}
+	bs := &buildState{Fingerprint: d.Str()}
+	names := d.Strs()
+	bs.Modules = make(map[string]*moduleState, len(names))
+	for _, name := range names {
+		bs.Modules[name] = &moduleState{
+			SourceHash: d.Str(),
+			Phase1File: d.Str(),
+			ObjectFile: d.Str(),
+			Directives: readHashes(d),
+			Clobbers:   readHashes(d),
+			Eligible:   d.Strs(),
+		}
+	}
+	bs.Analyzer = d.Bytes()
+	if err := d.Finish(); err != nil {
+		return nil, err
+	}
+	return bs, nil
+}
+
+// appendHashes writes a name -> hash map as its sorted names followed by
+// their hashes.
+func appendHashes(e *wire.Encoder, m map[string]string) {
+	keys := sortedKeys(m)
+	e.Strs(keys)
+	for _, k := range keys {
+		e.Str(m[k])
+	}
+}
+
+func readHashes(d *wire.Decoder) map[string]string {
+	keys := d.Strs()
+	m := make(map[string]string, len(keys))
+	for _, k := range keys {
+		m[k] = d.Str()
+	}
+	return m
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // store wraps one opened build directory; with an empty dir it is the
@@ -74,15 +164,18 @@ type manifest struct {
 type store struct {
 	dir         string
 	fingerprint string
-	prev        manifest
-	// resetReason is non-empty when an existing manifest was discarded
-	// (fingerprint mismatch or unreadable state); reset distinguishes that
-	// from a first build in an empty directory.
+	prev        buildState
+	// loaded is the state.wire content prev was decoded from; a commit of
+	// the same bytes is skipped.
+	loaded []byte
+	// resetReason is non-empty when no stored state is used; reset marks
+	// that existing state was discarded (fingerprint mismatch or
+	// unreadable state), as opposed to a first build.
 	reset       bool
 	resetReason string
 }
 
-// openStore loads the build directory's manifest, rejecting state written
+// openStore loads the build directory's state, rejecting state written
 // under a different format or toolchain fingerprint. An empty dir opens
 // the empty store, which touches no file.
 func openStore(dir, toolchainFingerprint string) (*store, error) {
@@ -99,7 +192,7 @@ func openStore(dir, toolchainFingerprint string) (*store, error) {
 		return nil, fmt.Errorf("incremental: %w", err)
 	}
 
-	data, err := os.ReadFile(filepath.Join(dir, manifestName))
+	data, err := os.ReadFile(filepath.Join(dir, stateName))
 	switch {
 	case os.IsNotExist(err):
 		s.resetReason = "no previous build state"
@@ -107,19 +200,16 @@ func openStore(dir, toolchainFingerprint string) (*store, error) {
 	case err != nil:
 		return nil, fmt.Errorf("incremental: %w", err)
 	}
-	var m manifest
-	if err := json.Unmarshal(data, &m); err != nil {
+	bs, err := decodeState(data)
+	switch {
+	case err != nil:
 		s.reset = true
-		s.resetReason = "unreadable manifest: " + err.Error()
-		return s, nil
-	}
-	if m.Fingerprint != s.fingerprint {
+		s.resetReason = "unreadable build state: " + err.Error()
+	case bs.Fingerprint != s.fingerprint:
 		s.reset = true
-		s.resetReason = fmt.Sprintf("fingerprint mismatch (stored %q, want %q)", m.Fingerprint, s.fingerprint)
-		return s, nil
-	}
-	if m.Modules != nil {
-		s.prev = m
+		s.resetReason = fmt.Sprintf("fingerprint mismatch (stored %q, want %q)", bs.Fingerprint, s.fingerprint)
+	default:
+		s.prev, s.loaded = *bs, data
 	}
 	return s, nil
 }
@@ -127,28 +217,12 @@ func openStore(dir, toolchainFingerprint string) (*store, error) {
 // persistent reports whether the store is backed by a build directory.
 func (s *store) persistent() bool { return s.dir != "" }
 
-// artifactFile derives the stable artifact base name for a module. The
-// sanitized module name keeps the directory browsable; the name-hash
-// suffix keeps distinct modules from colliding after sanitization.
-func artifactFile(prefix, module string) string {
-	sanitized := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
-			return r
-		default:
-			return '_'
-		}
-	}, module)
-	suffix := sourceKey(module, nil, "artifact-name")[:8]
-	return prefix + "-" + sanitized + "-" + suffix + ".wire"
-}
-
-// path resolves a manifest-recorded base name inside the build directory,
-// rejecting anything that could escape it (a tampered manifest must not
+// path resolves a state-recorded base name inside the build directory,
+// rejecting anything that could escape it (a tampered state must not
 // become a file read elsewhere on disk).
 func (s *store) path(base string) (string, error) {
 	if base == "" || base != filepath.Base(base) {
-		return "", fmt.Errorf("incremental: invalid artifact name %q in manifest", base)
+		return "", fmt.Errorf("incremental: invalid artifact name %q in build state", base)
 	}
 	return filepath.Join(s.dir, base), nil
 }
@@ -179,108 +253,58 @@ func (s *store) loadObject(ms *moduleState) (*parv.Object, error) {
 	return parv.ReadObjectFile(p)
 }
 
-// writePhase1 persists a phase-1 record and returns its base name.
-func (s *store) writePhase1(module string, m *ir.Module, sum *summary.ModuleSummary) (string, error) {
-	base := artifactFile("p1", module)
-	return base, os.WriteFile(filepath.Join(s.dir, base), EncodeEntry(m, sum), 0o644)
-}
+// fsOp performs one write, rename or remove of the store. Every change the
+// store makes to the directory goes through it, so a test can fail any
+// single one.
+var fsOp = func(op func() error) error { return op() }
 
-// writeObject persists an object file and returns its base name.
-func (s *store) writeObject(module string, o *parv.Object) (string, error) {
-	base := artifactFile("obj", module)
-	return base, parv.WriteObjectFile(filepath.Join(s.dir, base), o)
-}
-
-// analyzerStateName is the persisted analyzer state file. Its content is
-// opaque to this package (the Analyze hook owns the format); a
-// small header binds it to the manifest it was saved alongside, so state
-// from any other manifest generation — including one written by an older
-// binary that did not know about this file — is never trusted.
-const analyzerStateName = "analyzer.state"
-
-const analyzerStateMagic = "ipra-analyzer-store/v1\n"
-
-// manifestDigest fingerprints a manifest's source set: the analyzer state
-// is valid exactly while every module summary it stamped is still the one
-// phase 1 derives, which is a function of the per-module source hashes.
-func manifestDigest(m manifest) string {
-	names := make([]string, 0, len(m.Modules))
-	for name := range m.Modules {
-		names = append(names, name)
+// writeFile atomically stores data under the base name: it writes a
+// uniquely named temp file and renames it into place.
+func (s *store) writeFile(base string, data []byte) error {
+	var tmp string
+	err := fsOp(func() error {
+		f, err := os.CreateTemp(s.dir, "tmp-")
+		if err != nil {
+			return err
+		}
+		tmp = f.Name()
+		_, err = f.Write(data)
+		return errors.Join(err, f.Chmod(0o644), f.Close())
+	})
+	if err == nil {
+		err = fsOp(func() error { return os.Rename(tmp, filepath.Join(s.dir, base)) })
 	}
-	sort.Strings(names)
-	h := sha256.New()
-	for _, name := range names {
-		io.WriteString(h, name)
-		h.Write([]byte{0})
-		io.WriteString(h, m.Modules[name].SourceHash)
-		h.Write([]byte{0})
-	}
-	return hex.EncodeToString(h.Sum(nil)[:12])
-}
-
-// loadAnalyzerState returns the stored analyzer state bytes, or nil when
-// absent, unreadable, or bound to a different manifest generation.
-func (s *store) loadAnalyzerState() []byte {
-	if !s.persistent() {
-		return nil
-	}
-	data, err := os.ReadFile(filepath.Join(s.dir, analyzerStateName))
 	if err != nil {
-		return nil
-	}
-	rest, ok := strings.CutPrefix(string(data), analyzerStateMagic)
-	if !ok {
-		return nil
-	}
-	digest, body, ok := strings.Cut(rest, "\n")
-	if !ok || digest != manifestDigest(s.prev) {
-		return nil
-	}
-	return []byte(body)
-}
-
-// saveAnalyzerState persists the analyzer state bound to the manifest just
-// saved. A write is skipped when nothing moved: same bytes, same sources.
-func (s *store) saveAnalyzerState(next manifest, state, prevState []byte) error {
-	digest := manifestDigest(next)
-	if prevState != nil && string(prevState) == string(state) && digest == manifestDigest(s.prev) {
-		return nil
-	}
-	data := make([]byte, 0, len(analyzerStateMagic)+len(digest)+1+len(state))
-	data = append(data, analyzerStateMagic...)
-	data = append(data, digest...)
-	data = append(data, '\n')
-	data = append(data, state...)
-	tmp := filepath.Join(s.dir, analyzerStateName+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("incremental: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, analyzerStateName)); err != nil {
+		if tmp != "" {
+			fsOp(func() error { return os.Remove(tmp) })
+		}
 		return fmt.Errorf("incremental: %w", err)
 	}
 	return nil
 }
 
-// save atomically replaces the manifest and prunes artifact files no
-// longer referenced by it (modules removed from the program, or artifacts
-// renamed by a format change).
-func (s *store) save(m manifest) error {
-	m.Fingerprint = s.fingerprint
-	data, err := json.MarshalIndent(&m, "", " ")
-	if err != nil {
-		return fmt.Errorf("incremental: marshal manifest: %w", err)
-	}
-	tmp := filepath.Join(s.dir, manifestName+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("incremental: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, manifestName)); err != nil {
-		return fmt.Errorf("incremental: %w", err)
+// writeArtifact stores an artifact under a name derived from its bytes
+// and returns the name.
+func (s *store) writeArtifact(prefix string, data []byte) (string, error) {
+	sum := sha256.Sum256(data)
+	base := fmt.Sprintf("%s-%x.wire", prefix, sum[:12])
+	return base, s.writeFile(base, data)
+}
+
+// commit stores next as the directory's state — unless its bytes equal
+// the loaded state's — then prunes the artifacts it no longer names
+// (modules removed from the program, superseded content, or files of an
+// older format).
+func (s *store) commit(next *buildState) error {
+	next.Fingerprint = s.fingerprint
+	if data := encodeState(next); !bytes.Equal(data, s.loaded) {
+		if err := s.writeFile(stateName, data); err != nil {
+			return err
+		}
 	}
 
-	referenced := make(map[string]bool, 2*len(m.Modules))
-	for _, ms := range m.Modules {
+	referenced := make(map[string]bool, 2*len(next.Modules))
+	for _, ms := range next.Modules {
 		referenced[ms.Phase1File] = true
 		referenced[ms.ObjectFile] = true
 	}
@@ -293,7 +317,7 @@ func (s *store) save(m manifest) error {
 		if referenced[name] || !(strings.HasPrefix(name, "p1-") || strings.HasPrefix(name, "obj-")) {
 			continue
 		}
-		os.Remove(filepath.Join(s.dir, name))
+		fsOp(func() error { return os.Remove(filepath.Join(s.dir, name)) })
 	}
 	return nil
 }

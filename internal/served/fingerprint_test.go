@@ -3,9 +3,6 @@ package served
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -50,26 +47,9 @@ func TestServedFingerprintSafety(t *testing.T) {
 		t.Fatal("warm daemon build differs from local build")
 	}
 
-	// Simulate a daemon upgraded across a toolchain change: the on-disk
-	// manifest now claims a different fingerprint than the binary.
-	buildDir := filepath.Join(stateDir, req().ProgramKey())
-	manifestPath := filepath.Join(buildDir, "manifest.json")
-	raw, err := os.ReadFile(manifestPath)
-	if err != nil {
-		t.Fatalf("expected a manifest under %s: %v", buildDir, err)
-	}
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatal(err)
-	}
-	m["fingerprint"], _ = json.Marshal("ipra-build/v1|some-older-toolchain")
-	tampered, _ := json.Marshal(m)
-	if err := os.WriteFile(manifestPath, tampered, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Daemon three must reject the stale state wholesale and rebuild.
-	third, err := New(Options{StateDir: stateDir, Jobs: 2}).Build(context.Background(), req())
+	// Daemon three runs a different toolchain fingerprint: it must reject
+	// the stored state wholesale and rebuild.
+	third, err := New(Options{StateDir: stateDir, Jobs: 2, Fingerprint: "some-older-toolchain"}).Build(context.Background(), req())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,8 @@
 //   - one persistent incremental build directory per (config, module
 //     name-set) program identity (internal/incremental), so an edited
 //     program gets a minimal rebuild — phase 1 re-runs only for changed
-//     modules — and its analyzer.state carries the call graph, webs, and
-//     clusters forward;
+//     modules — and the analyzer state in its state.wire carries the
+//     call graph, webs, and clusters forward;
 //   - a bounded in-memory result cache mapping request keys to finished
 //     responses, so a byte-identical re-request never compiles at all.
 //
@@ -420,7 +420,7 @@ func (s *Server) runBuild(ctx context.Context, req *BuildRequest) (*BuildRespons
 	}
 
 	reqTracer := telemetry.New()
-	opts := []ipra.BuildOption{ipra.WithTelemetry(reqTracer)}
+	opts := []ipra.BuildOption{ipra.WithTelemetry(reqTracer), ipra.WithFingerprint(s.fingerprint)}
 	if cfg.WantProfile {
 		opts = append(opts, ipra.WithProfile(req.TrainInstrs))
 	}
@@ -433,8 +433,8 @@ func (s *Server) runBuild(ctx context.Context, req *BuildRequest) (*BuildRespons
 		buildDir = filepath.Join(s.opts.StateDir, req.ProgramKey())
 		opts = append(opts, ipra.WithBuildDir(buildDir))
 		// Two different source versions of the same program share a
-		// build directory; serialize them so concurrent edits never
-		// interleave manifest writes.
+		// build directory; serialize them so neither build's commit
+		// discards the other's work.
 		lock := s.lockDir(buildDir)
 		defer s.unlockDir(buildDir, lock)
 	}

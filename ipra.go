@@ -329,6 +329,7 @@ type buildSettings struct {
 	tracer      *telemetry.Tracer
 	stderr      io.Writer
 	verify      bool
+	fingerprint string
 }
 
 // WithProfile enables profile-guided compilation (§6.1, Table 4 columns B
@@ -384,6 +385,14 @@ func WithVerify() BuildOption {
 	return func(s *buildSettings) { s.verify = true }
 }
 
+// WithFingerprint stamps the build directory's state with fp instead of
+// ToolchainFingerprint(); state stamped by any other fingerprint is
+// discarded. A build daemon passes its own fingerprint, so the one value
+// guards both its result cache and its build directories.
+func WithFingerprint(fp string) BuildOption {
+	return func(s *buildSettings) { s.fingerprint = fp }
+}
+
 // verifyAnalysis checks one compiled program's analysis against the
 // paper's invariants (no-op when the configuration ran no analyzer).
 func verifyAnalysis(ctx context.Context, p *Program) error {
@@ -432,7 +441,7 @@ type BuildResult struct {
 // Options select profile-guided compilation (WithProfile), persistent
 // incremental build state (WithBuildDir), and telemetry (WithTelemetry).
 func Build(ctx context.Context, sources []Source, cfg Config, opts ...BuildOption) (*BuildResult, error) {
-	var s buildSettings
+	s := buildSettings{fingerprint: toolchainFingerprint()}
 	for _, o := range opts {
 		o(&s)
 	}
@@ -472,7 +481,7 @@ func runBuild(ctx context.Context, sources []Source, cfg Config, s buildSettings
 			trainDir = filepath.Join(s.buildDir, "train")
 		}
 		var err error
-		if train, _, err = compile(ctx, sources, cfg, trainDir, s.stderr, nil); err != nil {
+		if train, _, err = compile(ctx, sources, cfg, s, trainDir, nil); err != nil {
 			return err
 		}
 		if s.verify {
@@ -490,7 +499,7 @@ func runBuild(ctx context.Context, sources []Source, cfg Config, s buildSettings
 	}
 	// Phase 1 depends only on the sources, so the final pass reuses the
 	// training pass's phase-1 output instead of recompiling it.
-	p, out, err := compile(ctx, sources, cfg, s.buildDir, s.stderr, train)
+	p, out, err := compile(ctx, sources, cfg, s, s.buildDir, train)
 	if err != nil {
 		return err
 	}
@@ -611,7 +620,7 @@ func ToolchainFingerprint() string { return toolchainFingerprint() }
 // only through the program database, whose directives are diffed directly.
 // Switching configurations over one build directory therefore rebuilds
 // exactly the modules whose directives the switch changes.
-func compile(ctx context.Context, sources []Source, cfg Config, buildDir string, explainW io.Writer, prior *Program) (*Program, *incremental.Outcome, error) {
+func compile(ctx context.Context, sources []Source, cfg Config, s buildSettings, buildDir string, prior *Program) (*Program, *incremental.Outcome, error) {
 	ctx, span := telemetry.StartSpan(ctx, "compile")
 	defer span.End()
 	span.SetStr("config", cfg.Name)
@@ -626,7 +635,7 @@ func compile(ctx context.Context, sources []Source, cfg Config, buildDir string,
 		}
 	}
 	tc := incremental.Toolchain{
-		Fingerprint: toolchainFingerprint(),
+		Fingerprint: s.fingerprint,
 		Phase1: func(ctx context.Context, name string, text []byte) (*ir.Module, *summary.ModuleSummary, error) {
 			if i, ok := priorIndex[name]; ok {
 				return prior.Modules[i], prior.Summaries[i], nil
@@ -678,7 +687,7 @@ func compile(ctx context.Context, sources []Source, cfg Config, buildDir string,
 			return parv.Link(objs, parv.LinkConfig{DataSize: cfg.DataSize})
 		},
 	}
-	out, err := incremental.Build(ctx, buildDir, sources, tc, incremental.Options{Jobs: cfg.Jobs, Explain: explainW})
+	out, err := incremental.Build(ctx, buildDir, sources, tc, incremental.Options{Jobs: cfg.Jobs, Explain: s.stderr})
 	if err != nil {
 		return nil, nil, err
 	}

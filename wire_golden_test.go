@@ -2,6 +2,7 @@ package ipra
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"os/exec"
@@ -9,9 +10,11 @@ import (
 	"reflect"
 	"testing"
 
+	"ipra/internal/core"
 	"ipra/internal/incremental"
 	"ipra/internal/ir"
 	"ipra/internal/parv"
+	"ipra/internal/progen"
 	"ipra/internal/summary"
 )
 
@@ -21,7 +24,8 @@ var updateWireGolden = flag.Bool("update", false, "rewrite the golden wire fixtu
 // artifact kind. A fixture mismatch means the encoding changed shape:
 // either revert the change, or bump that kind's wire version AND the
 // incremental store's FormatVersion, then regenerate with
-// `go test -run TestWireGolden -update`.
+// `go test . ./internal/incremental/ -run TestWireGolden -update` (the
+// build-state fixture is pinned by the incremental package's own test).
 const wireGoldenDir = "testdata/wire"
 
 // goldenModule builds a module touching every encoded field: pinned
@@ -153,6 +157,18 @@ func goldenExe() *parv.Executable {
 	}
 }
 
+// goldenAnalyzerState is the analyzer state of a small generated program
+// with webs and clusters, so the fixture covers every encoded section.
+func goldenAnalyzerState(t testing.TB) []byte {
+	sums := progen.GenerateSummaries(progen.Config{Seed: 1, Modules: 2, ProcsPerModule: 4, Globals: 4, Recursion: true})
+	opt := core.DefaultOptions()
+	res, err := core.Analyze(context.Background(), sums, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return core.NewState(res, sums, opt).Encode()
+}
+
 // goldenFixtures returns the canonical encoding of each fixture value,
 // keyed by its fixture file name.
 func goldenFixtures(t testing.TB) map[string][]byte {
@@ -161,10 +177,11 @@ func goldenFixtures(t testing.TB) map[string][]byte {
 		t.Fatal(err)
 	}
 	return map[string][]byte{
-		"module-v1.bin":      ir.EncodeModule(goldenModule()),
-		"cache-entry-v1.bin": incremental.EncodeEntry(goldenModule(), goldenSummary()),
-		"object-v1.bin":      parv.EncodeObject(goldenObject()),
-		"exe-v1.bin":         exeBuf.Bytes(),
+		"module-v1.bin":         ir.EncodeModule(goldenModule()),
+		"cache-entry-v1.bin":    incremental.EncodeEntry(goldenModule(), goldenSummary()),
+		"object-v1.bin":         parv.EncodeObject(goldenObject()),
+		"exe-v1.bin":            exeBuf.Bytes(),
+		"analyzer-state-v1.bin": goldenAnalyzerState(t),
 	}
 }
 
@@ -240,6 +257,17 @@ func TestWireGoldenDecodes(t *testing.T) {
 	}
 	if !reflect.DeepEqual(exe, goldenExe()) {
 		t.Error("executable fixture decodes to a different value")
+	}
+
+	// The analyzer state has no exported fields; a decode that re-encodes
+	// to the pinned bytes lost nothing.
+	data := read("analyzer-state-v1.bin")
+	st, err := core.DecodeState(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(st.Encode(), data) {
+		t.Error("analyzer state fixture does not re-encode to itself")
 	}
 }
 
@@ -365,6 +393,24 @@ func FuzzWireExecutableDecode(f *testing.F) {
 		}
 		if _, err := parv.DecodeExecutable(buf.Bytes()); err != nil {
 			t.Fatalf("re-decode of accepted input failed: %v", err)
+		}
+	})
+}
+
+func FuzzWireAnalyzerStateDecode(f *testing.F) {
+	seedWireFuzz(f, "analyzer-state-v1.bin")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := core.DecodeState(data)
+		if err != nil {
+			return
+		}
+		enc := st.Encode()
+		st2, err := core.DecodeState(enc)
+		if err != nil {
+			t.Fatalf("re-decode of accepted input failed: %v", err)
+		}
+		if !bytes.Equal(st2.Encode(), enc) {
+			t.Fatal("canonical encoding is not a fixpoint")
 		}
 	})
 }
