@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"ipra"
 	"ipra/internal/incremental"
@@ -24,7 +25,9 @@ var errInjected = errors.New("injected fault")
 // builds — of the sources before the edit, which only a committed state
 // may serve from stored artifacts, then of the edited sources — must each
 // equal a clean build, name a reason for every module they rebuild, and
-// leave only the state and its artifacts in the directory.
+// leave only the state and its artifacts in the directory. Each directory
+// also starts with the temp file of an earlier killed build, which must be
+// gone as well.
 func TestFaultInjectionRecovers(t *testing.T) {
 	ctx := context.Background()
 	cfg := ipra.MustPreset("C")
@@ -62,6 +65,7 @@ func TestFaultInjectionRecovers(t *testing.T) {
 		// becomes the next step's starting directory.
 		after := t.TempDir()
 		copyFiles(t, before, after)
+		leaveKilledTemp(t, after)
 		ops := 0
 		restore := incremental.SetFSOp(func(do func() error) error { ops++; return do() })
 		_, err = ipra.Build(ctx, srcs, cfg, ipra.WithBuildDir(after))
@@ -77,6 +81,7 @@ func TestFaultInjectionRecovers(t *testing.T) {
 			label := fmt.Sprintf("step %d, fault at operation %d/%d", k, n, ops)
 			dir := t.TempDir()
 			copyFiles(t, before, dir)
+			leaveKilledTemp(t, dir)
 			calls := 0
 			restore := incremental.SetFSOp(func(do func() error) error {
 				if calls++; calls == n {
@@ -131,6 +136,20 @@ func exeBytes(t *testing.T, exe *parv.Executable) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// leaveKilledTemp leaves the temp file of a build killed an hour ago in
+// dir.
+func leaveKilledTemp(t *testing.T, dir string) {
+	t.Helper()
+	p := filepath.Join(dir, "tmp-killed")
+	if err := os.WriteFile(p, []byte("partial"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(p, old, old); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // copyFiles copies the regular files of a build directory.

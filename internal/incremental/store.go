@@ -19,7 +19,11 @@
 // Every file is written to a uniquely named temp file and renamed into
 // place. The rename of state.wire is a build's only commit point: a build
 // killed before it leaves the previous state and every artifact that
-// state names intact, because pruning runs only after the commit.
+// state names intact, because pruning runs only after the commit. A killed
+// build also leaves its temp file; a commit removes temp files last written
+// staleTempAge or more before its own build opened the store. An in-flight
+// build holds such a file only if it stalled that long between writing the
+// file and renaming it; its rename then fails, and it returns an error.
 //
 // The fingerprint combines the store format version with the caller's
 // toolchain fingerprint; state written by a different format or toolchain
@@ -36,6 +40,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 
 	"ipra/internal/ir"
 	"ipra/internal/parv"
@@ -54,6 +59,12 @@ import (
 const FormatVersion = "ipra-build/v4"
 
 const stateName = "state.wire"
+
+// staleTempAge is how long before a build began a temp file must have been
+// last written for the build's commit to treat it as a killed build's
+// leftover. It spans file-system timestamp granularity and any live
+// build's write-to-rename window (milliseconds) with a wide margin.
+const staleTempAge = time.Minute
 
 // Wire format identity of the build state record.
 const (
@@ -173,6 +184,8 @@ type store struct {
 	// unreadable state), as opposed to a first build.
 	reset       bool
 	resetReason string
+	// opened is when the build opened the store (see staleTempAge).
+	opened time.Time
 }
 
 // openStore loads the build directory's state, rejecting state written
@@ -182,6 +195,7 @@ func openStore(dir, toolchainFingerprint string) (*store, error) {
 	s := &store{
 		dir:         dir,
 		fingerprint: FormatVersion + "|" + toolchainFingerprint,
+		opened:      time.Now(),
 	}
 	s.prev.Modules = make(map[string]*moduleState)
 	if dir == "" {
@@ -294,7 +308,8 @@ func (s *store) writeArtifact(prefix string, data []byte) (string, error) {
 // commit stores next as the directory's state — unless its bytes equal
 // the loaded state's — then prunes the artifacts it no longer names
 // (modules removed from the program, superseded content, or files of an
-// older format).
+// older format) and the temp files of builds killed before this one began
+// (see staleTempAge).
 func (s *store) commit(next *buildState) error {
 	next.Fingerprint = s.fingerprint
 	if data := encodeState(next); !bytes.Equal(data, s.loaded) {
@@ -314,7 +329,15 @@ func (s *store) commit(next *buildState) error {
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if referenced[name] || !(strings.HasPrefix(name, "p1-") || strings.HasPrefix(name, "obj-")) {
+		switch {
+		case referenced[name]:
+			continue
+		case strings.HasPrefix(name, "p1-"), strings.HasPrefix(name, "obj-"):
+		case strings.HasPrefix(name, "tmp-"):
+			if info, err := e.Info(); err != nil || !info.ModTime().Before(s.opened.Add(-staleTempAge)) {
+				continue
+			}
+		default:
 			continue
 		}
 		fsOp(func() error { return os.Remove(filepath.Join(s.dir, name)) })

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"flag"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 )
 
 var updateWireGolden = flag.Bool("update", false, "rewrite the build-state golden fixture")
@@ -96,4 +98,37 @@ func FuzzWireBuildStateDecode(f *testing.F) {
 			t.Fatal("canonical encoding is not a fixpoint")
 		}
 	})
+}
+
+// TestCommitPrunesKilledTempFiles: a commit removes temp files last
+// written staleTempAge before its build opened the store, and keeps newer
+// ones, which may belong to a build still writing — including one written
+// just before this build began.
+func TestCommitPrunesKilledTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	s, err := openStore(dir, "test-toolchain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mtime := range map[string]time.Time{
+		"tmp-killed":   s.opened.Add(-staleTempAge - time.Second),
+		"tmp-inflight": s.opened.Add(-time.Second),
+	} {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte("partial"), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chtimes(p, mtime, mtime); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.commit(&buildState{Modules: map[string]*moduleState{}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "tmp-killed")); !os.IsNotExist(err) {
+		t.Errorf("temp file of a build killed before this one survived the commit (stat: %v)", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "tmp-inflight")); err != nil {
+		t.Errorf("temp file written just before the build began was pruned: %v", err)
+	}
 }

@@ -3,6 +3,8 @@ package served
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -47,9 +49,25 @@ func TestServedFingerprintSafety(t *testing.T) {
 		t.Fatal("warm daemon build differs from local build")
 	}
 
-	// Daemon three runs a different toolchain fingerprint: it must reject
-	// the stored state wholesale and rebuild.
-	third, err := New(Options{StateDir: stateDir, Jobs: 2, Fingerprint: "some-older-toolchain"}).Build(context.Background(), req())
+	// Simulate a daemon upgraded across a toolchain change: the on-disk
+	// build state now claims a different fingerprint than the binary. The
+	// wire string table stores strings raw and length-prefixed, so an
+	// equal-length substitution keeps the record decodable.
+	statePath := filepath.Join(stateDir, req().ProgramKey(), "state.wire")
+	raw, err := os.ReadFile(statePath)
+	if err != nil {
+		t.Fatalf("expected build state at %s: %v", statePath, err)
+	}
+	tampered := bytes.Replace(raw, []byte("ipra-build/v4|"), []byte("ipra-build/v0|"), 1)
+	if bytes.Equal(tampered, raw) {
+		t.Fatal("build state does not carry the ipra-build/v4 fingerprint")
+	}
+	if err := os.WriteFile(statePath, tampered, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// Daemon three must reject the stale state wholesale and rebuild.
+	third, err := New(Options{StateDir: stateDir, Jobs: 2}).Build(context.Background(), req())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,9 +72,11 @@ type Options struct {
 	// TrainInstrs is the default training-run budget for profiled
 	// configurations when the request leaves it zero.
 	TrainInstrs uint64
-	// Fingerprint overrides the toolchain fingerprint guarding all
-	// served state; empty uses ipra.ToolchainFingerprint(). Tests use
-	// the override to prove stale-state rejection.
+	// Fingerprint overrides the toolchain fingerprint that keys the
+	// result cache and single-flight; empty uses
+	// ipra.ToolchainFingerprint(). Build directories are always stamped
+	// by the toolchain itself. Tests use the override to prove that
+	// result-cache keys differ across toolchains.
 	Fingerprint string
 	// Tracer receives server-lifetime telemetry (the served.* counters
 	// plus every request's counters merged in); nil allocates one
@@ -420,7 +422,7 @@ func (s *Server) runBuild(ctx context.Context, req *BuildRequest) (*BuildRespons
 	}
 
 	reqTracer := telemetry.New()
-	opts := []ipra.BuildOption{ipra.WithTelemetry(reqTracer), ipra.WithFingerprint(s.fingerprint)}
+	opts := []ipra.BuildOption{ipra.WithTelemetry(reqTracer)}
 	if cfg.WantProfile {
 		opts = append(opts, ipra.WithProfile(req.TrainInstrs))
 	}

@@ -329,7 +329,6 @@ type buildSettings struct {
 	tracer      *telemetry.Tracer
 	stderr      io.Writer
 	verify      bool
-	fingerprint string
 }
 
 // WithProfile enables profile-guided compilation (§6.1, Table 4 columns B
@@ -385,14 +384,6 @@ func WithVerify() BuildOption {
 	return func(s *buildSettings) { s.verify = true }
 }
 
-// WithFingerprint stamps the build directory's state with fp instead of
-// ToolchainFingerprint(); state stamped by any other fingerprint is
-// discarded. A build daemon passes its own fingerprint, so the one value
-// guards both its result cache and its build directories.
-func WithFingerprint(fp string) BuildOption {
-	return func(s *buildSettings) { s.fingerprint = fp }
-}
-
 // verifyAnalysis checks one compiled program's analysis against the
 // paper's invariants (no-op when the configuration ran no analyzer).
 func verifyAnalysis(ctx context.Context, p *Program) error {
@@ -441,7 +432,7 @@ type BuildResult struct {
 // Options select profile-guided compilation (WithProfile), persistent
 // incremental build state (WithBuildDir), and telemetry (WithTelemetry).
 func Build(ctx context.Context, sources []Source, cfg Config, opts ...BuildOption) (*BuildResult, error) {
-	s := buildSettings{fingerprint: toolchainFingerprint()}
+	var s buildSettings
 	for _, o := range opts {
 		o(&s)
 	}
@@ -481,7 +472,7 @@ func runBuild(ctx context.Context, sources []Source, cfg Config, s buildSettings
 			trainDir = filepath.Join(s.buildDir, "train")
 		}
 		var err error
-		if train, _, err = compile(ctx, sources, cfg, s, trainDir, nil); err != nil {
+		if train, _, err = compile(ctx, sources, cfg, trainDir, s.stderr, nil); err != nil {
 			return err
 		}
 		if s.verify {
@@ -499,7 +490,7 @@ func runBuild(ctx context.Context, sources []Source, cfg Config, s buildSettings
 	}
 	// Phase 1 depends only on the sources, so the final pass reuses the
 	// training pass's phase-1 output instead of recompiling it.
-	p, out, err := compile(ctx, sources, cfg, s, s.buildDir, train)
+	p, out, err := compile(ctx, sources, cfg, s.buildDir, s.stderr, train)
 	if err != nil {
 		return err
 	}
@@ -620,7 +611,7 @@ func ToolchainFingerprint() string { return toolchainFingerprint() }
 // only through the program database, whose directives are diffed directly.
 // Switching configurations over one build directory therefore rebuilds
 // exactly the modules whose directives the switch changes.
-func compile(ctx context.Context, sources []Source, cfg Config, s buildSettings, buildDir string, prior *Program) (*Program, *incremental.Outcome, error) {
+func compile(ctx context.Context, sources []Source, cfg Config, buildDir string, explainW io.Writer, prior *Program) (*Program, *incremental.Outcome, error) {
 	ctx, span := telemetry.StartSpan(ctx, "compile")
 	defer span.End()
 	span.SetStr("config", cfg.Name)
@@ -635,7 +626,7 @@ func compile(ctx context.Context, sources []Source, cfg Config, s buildSettings,
 		}
 	}
 	tc := incremental.Toolchain{
-		Fingerprint: s.fingerprint,
+		Fingerprint: toolchainFingerprint(),
 		Phase1: func(ctx context.Context, name string, text []byte) (*ir.Module, *summary.ModuleSummary, error) {
 			if i, ok := priorIndex[name]; ok {
 				return prior.Modules[i], prior.Summaries[i], nil
@@ -687,7 +678,7 @@ func compile(ctx context.Context, sources []Source, cfg Config, s buildSettings,
 			return parv.Link(objs, parv.LinkConfig{DataSize: cfg.DataSize})
 		},
 	}
-	out, err := incremental.Build(ctx, buildDir, sources, tc, incremental.Options{Jobs: cfg.Jobs, Explain: s.stderr})
+	out, err := incremental.Build(ctx, buildDir, sources, tc, incremental.Options{Jobs: cfg.Jobs, Explain: explainW})
 	if err != nil {
 		return nil, nil, err
 	}
