@@ -14,6 +14,7 @@ package codegen
 import (
 	"fmt"
 
+	"ipra/internal/ir"
 	"ipra/internal/parv"
 )
 
@@ -89,8 +90,10 @@ type lfunc struct {
 	outArgs    int32 // bytes of outgoing stack-argument area
 	makesCalls bool
 
-	// loopDepthOf caches per-vreg spill cost weights.
-	vregCost map[vreg]float64
+	// liveSlab backs the per-block sets of lirLiveness; liveSets are their
+	// headers. Both are reused by every liveness pass over the function.
+	liveSlab []uint64
+	liveSets []ir.BitSet
 }
 
 func (f *lfunc) newVreg() vreg {

@@ -16,25 +16,43 @@ type lowerer struct {
 	dir  *pdb.ProcDirectives
 	prom map[string]uint8 // web-promoted global -> dedicated register
 
-	vrOf map[ir.Reg]vreg
+	// vrOf maps IR registers to virtual registers (0: none yet).
+	vrOf []vreg
 	// constOf tracks IR registers holding known constants within the
-	// current block, enabling immediate instruction forms.
-	constOf map[ir.Reg]int32
+	// current block, enabling immediate instruction forms; an entry counts
+	// only when its blk is the current block's stamp.
+	constOf []constVal
+	blk     int32
 	// useCount counts IR register uses (to fold compares into branches).
-	useCount map[ir.Reg]int
+	useCount []int32
 
 	cur *lblock
 }
 
+// constVal is a constOf entry: the register holds v within block stamp blk.
+type constVal struct {
+	v, blk int32
+}
+
+func (lo *lowerer) constant(r ir.Reg) (int32, bool) {
+	c := lo.constOf[r]
+	return c.v, c.blk == lo.blk
+}
+
+func (lo *lowerer) setConst(r ir.Reg, v int32) { lo.constOf[r] = constVal{v: v, blk: lo.blk} }
+
+func (lo *lowerer) dropConst(r ir.Reg) { lo.constOf[r].blk = 0 }
+
 func lower(irf *ir.Func, mod *ir.Module, dir *pdb.ProcDirectives) (*lfunc, error) {
 	lo := &lowerer{
-		f:        &lfunc{name: irf.Name, frameLocal: irf.FrameSize, vregCost: make(map[vreg]float64)},
+		f:        &lfunc{name: irf.Name, frameLocal: irf.FrameSize},
 		irf:      irf,
 		mod:      mod,
 		dir:      dir,
 		prom:     make(map[string]uint8),
-		vrOf:     make(map[ir.Reg]vreg),
-		useCount: make(map[ir.Reg]int),
+		vrOf:     make([]vreg, irf.NextReg+1),
+		constOf:  make([]constVal, irf.NextReg+1),
+		useCount: make([]int32, irf.NextReg+1),
 	}
 	for _, p := range dir.Promoted {
 		lo.prom[p.Name] = p.Reg
@@ -73,7 +91,7 @@ func lower(irf *ir.Func, mod *ir.Module, dir *pdb.ProcDirectives) (*lfunc, error
 
 	for _, b := range irf.Blocks {
 		lo.cur = lo.f.blocks[b.ID]
-		lo.constOf = make(map[ir.Reg]int32)
+		lo.blk++ // forget the previous block's constants
 		if b.ID == 0 {
 			lo.lowerParams()
 		}
@@ -91,7 +109,7 @@ func (lo *lowerer) vr(r ir.Reg) vreg {
 	if phys, ok := lo.irf.Pinned[r]; ok {
 		return vreg(phys)
 	}
-	if v, ok := lo.vrOf[r]; ok {
+	if v := lo.vrOf[r]; v != 0 {
 		return v
 	}
 	v := lo.f.newVreg()
@@ -166,38 +184,38 @@ func (lo *lowerer) lowerInstr(in *ir.Instr) error {
 		return nil
 
 	case ir.Const:
-		lo.constOf[in.Dst] = int32(in.Imm)
+		lo.setConst(in.Dst, int32(in.Imm))
 		lo.emit(linstr{op: parv.LDI, rd: lo.vr(in.Dst), imm: int32(in.Imm)})
 		return nil
 
 	case ir.Copy:
 		lo.emit(linstr{op: parv.MOV, rd: lo.vr(in.Dst), ra: lo.vr(in.A)})
-		if c, ok := lo.constOf[in.A]; ok {
-			lo.constOf[in.Dst] = c
+		if c, ok := lo.constant(in.A); ok {
+			lo.setConst(in.Dst, c)
 		} else {
-			delete(lo.constOf, in.Dst)
+			lo.dropConst(in.Dst)
 		}
 		return nil
 
 	case ir.Neg:
-		delete(lo.constOf, in.Dst)
+		lo.dropConst(in.Dst)
 		lo.emit(linstr{op: parv.NEG, rd: lo.vr(in.Dst), ra: lo.vr(in.A)})
 		return nil
 
 	case ir.Not:
-		delete(lo.constOf, in.Dst)
+		lo.dropConst(in.Dst)
 		lo.emit(linstr{op: parv.NOT, rd: lo.vr(in.Dst), ra: lo.vr(in.A)})
 		return nil
 
 	case ir.Load:
-		delete(lo.constOf, in.Dst)
+		lo.dropConst(in.Dst)
 		return lo.lowerLoad(in)
 
 	case ir.Store:
 		return lo.lowerStore(in)
 
 	case ir.AddrGlobal:
-		delete(lo.constOf, in.Dst)
+		lo.dropConst(in.Dst)
 		kind := parv.RelFuncAddr
 		if lo.mod.GlobalByName(in.Callee) != nil {
 			kind = parv.RelDataAddr
@@ -209,7 +227,7 @@ func (lo *lowerer) lowerInstr(in *ir.Instr) error {
 		return nil
 
 	case ir.AddrFrame:
-		delete(lo.constOf, in.Dst)
+		lo.dropConst(in.Dst)
 		lo.emit(linstr{op: parv.ADDI, rd: lo.vr(in.Dst), ra: vreg(parv.RegSP), imm: lo.f.outArgs + int32(in.Imm)})
 		return nil
 
@@ -219,8 +237,8 @@ func (lo *lowerer) lowerInstr(in *ir.Instr) error {
 
 	// Comparisons.
 	if c, ok := condFor(in.Op); ok {
-		defer delete(lo.constOf, in.Dst)
-		if imm, isC := lo.constOf[in.B]; isC {
+		defer lo.dropConst(in.Dst)
+		if imm, isC := lo.constant(in.B); isC {
 			lo.emit(linstr{op: parv.CMPI, rd: lo.vr(in.Dst), ra: lo.vr(in.A), imm: imm, cond: c})
 			return nil
 		}
@@ -230,13 +248,13 @@ func (lo *lowerer) lowerInstr(in *ir.Instr) error {
 
 	// Binary arithmetic.
 	if rop, iop, ok := binOpFor(in.Op); ok {
-		defer delete(lo.constOf, in.Dst)
-		if imm, isC := lo.constOf[in.B]; isC && iop != parv.NOP {
+		defer lo.dropConst(in.Dst)
+		if imm, isC := lo.constant(in.B); isC && iop != parv.NOP {
 			lo.emit(linstr{op: iop, rd: lo.vr(in.Dst), ra: lo.vr(in.A), imm: imm})
 			return nil
 		}
 		// Commutative ops can fold a constant left operand.
-		if imm, isC := lo.constOf[in.A]; isC && iop != parv.NOP && in.Op.IsCommutative() {
+		if imm, isC := lo.constant(in.A); isC && iop != parv.NOP && in.Op.IsCommutative() {
 			lo.emit(linstr{op: iop, rd: lo.vr(in.Dst), ra: lo.vr(in.B), imm: imm})
 			return nil
 		}
@@ -330,7 +348,7 @@ func (lo *lowerer) lowerCall(in *ir.Instr) error {
 		})
 	}
 	if in.Dst != 0 {
-		delete(lo.constOf, in.Dst)
+		lo.dropConst(in.Dst)
 		lo.emit(linstr{op: parv.MOV, rd: lo.vr(in.Dst), ra: vreg(parv.RegRet)})
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"ipra/internal/ir"
 	"ipra/internal/parv"
 	"ipra/internal/pdb"
 	"ipra/internal/regs"
@@ -110,6 +111,17 @@ func allocate(f *lfunc, dir *pdb.ProcDirectives, clobberOf func(callee string) r
 	localPref = append(localPref, dir.Free.Regs()...)
 	localPref = append(localPref, dir.Callee.Regs()...)
 
+	// Per-round scratch, indexed by register and reused across rounds.
+	var (
+		live    ir.BitSet
+		crosses []bool
+		cost    []float64
+		adj     [][]vreg   // virtual neighbours of each virtual register
+		phys    []regs.Set // physical registers each virtual register interferes with
+		assign  []int16    // physical register of each virtual register, or -1
+		order   []vreg
+		buf     []vreg
+	)
 	for round := 0; ; round++ {
 		if round > 64 {
 			return nil, fmt.Errorf("codegen: %s: register allocation did not converge", f.name)
@@ -117,31 +129,37 @@ func allocate(f *lfunc, dir *pdb.ProcDirectives, clobberOf func(callee string) r
 		deadElim(f)
 
 		n := int(vregBase) + int(f.nvregs)
-		adj := make([]map[vreg]bool, n)
+		liveOut := lirLiveness(f, n)
+		live = resize(live, setWords(n))
+		crosses = resize(crosses, n)
+		cost = resize(cost, n)
+		phys = resize(phys, n)
+		if cap(adj) < n {
+			adj = append(adj[:cap(adj)], make([][]vreg, n-cap(adj))...)
+		}
+		adj = adj[:n]
+		for i := range adj {
+			adj[i] = adj[i][:0]
+		}
+		// interfere records that a and b may not share a register; an
+		// edge between two physical registers carries no information.
 		interfere := func(a, b vreg) {
 			if a == b || a == 0 || b == 0 {
 				return
 			}
-			if adj[a] == nil {
-				adj[a] = make(map[vreg]bool)
+			switch {
+			case !a.isPhys() && !b.isPhys():
+				adj[a] = append(adj[a], b)
+				adj[b] = append(adj[b], a)
+			case !a.isPhys():
+				phys[a] = phys[a].Add(uint8(b))
+			case !b.isPhys():
+				phys[b] = phys[b].Add(uint8(a))
 			}
-			if adj[b] == nil {
-				adj[b] = make(map[vreg]bool)
-			}
-			adj[a][b] = true
-			adj[b][a] = true
 		}
 
-		liveOut := lirLiveness(f, n)
-		crosses := make([]bool, n)
-		cost := make([]float64, n)
-
-		var buf []vreg
 		for _, b := range f.blocks {
-			live := make(map[vreg]bool)
-			for v := range liveOut[b.id] {
-				live[v] = true
-			}
+			live.Copy(liveOut[b.id])
 			w := depthWeight(b.loopDepth)
 			for i := len(b.instrs) - 1; i >= 0; i-- {
 				in := &b.instrs[i]
@@ -149,39 +167,35 @@ func allocate(f *lfunc, dir *pdb.ProcDirectives, clobberOf func(callee string) r
 				def, buf = in.defUse(buf[:0])
 
 				if in.isCall {
-					for v := range live {
-						if v != def && !v.isPhys() {
-							crosses[v] = true
+					// Every live virtual register crosses the call and
+					// may not sit in a register the call clobbers.
+					clobber := clobberFor(in).Remove(0)
+					live.ForEach(func(x int) {
+						if v := vreg(x); !v.isPhys() {
+							crosses[v] = crosses[v] || v != def
+							phys[v] |= clobber
 						}
-					}
-					for _, c := range clobberFor(in).Regs() {
-						for v := range live {
-							if v != vreg(c) {
-								interfere(vreg(c), v)
-							}
-						}
-					}
+					})
 				}
 
 				if def >= 0 && def != 0 {
-					for v := range live {
+					live.ForEach(func(x int) {
+						v := vreg(x)
 						if in.op == parv.MOV && v == in.ra {
-							continue // moves don't make src/dst interfere
+							return // moves don't make src/dst interfere
 						}
-						if v != def {
-							interfere(def, v)
-						}
-					}
-					delete(live, def)
+						interfere(def, v)
+					})
+					live.Clear(int(def))
 					if !def.isPhys() {
 						cost[def] += w
 					}
 				}
 				if in.isCall {
-					delete(live, vreg(parv.RegRet)) // calls define ret0
+					live.Clear(int(parv.RegRet)) // calls define ret0
 				}
 				for _, u := range buf {
-					live[u] = true
+					live.Set(int(u))
 					if !u.isPhys() {
 						cost[u] += w
 					}
@@ -190,9 +204,9 @@ func allocate(f *lfunc, dir *pdb.ProcDirectives, clobberOf func(callee string) r
 		}
 
 		// Color in priority (cost) order.
-		order := make([]vreg, 0, f.nvregs)
-		for v := vregBase; v < vregBase+vreg(f.nvregs); v++ {
-			if cost[v] > 0 || adj[v] != nil {
+		order = order[:0]
+		for v := vregBase; v < vreg(n); v++ {
+			if cost[v] > 0 || len(adj[v]) > 0 || phys[v] != 0 {
 				order = append(order, v)
 			}
 		}
@@ -200,28 +214,25 @@ func allocate(f *lfunc, dir *pdb.ProcDirectives, clobberOf func(callee string) r
 			return cost[order[i]] > cost[order[j]]
 		})
 
-		assign := make(map[vreg]uint8)
+		assign = resize(assign, n)
+		for i := range assign {
+			assign[i] = -1
+		}
 		var failed vreg = -1
 		for _, v := range order {
 			prefs := localPref
 			if crosses[v] {
 				prefs = crossPref
 			}
+			taken := phys[v]
+			for _, nb := range adj[v] {
+				if a := assign[nb]; a >= 0 {
+					taken = taken.Add(uint8(a))
+				}
+			}
 			var got int16 = -1
 			for _, r := range prefs {
-				ok := true
-				for nb := range adj[v] {
-					if nb.isPhys() {
-						if uint8(nb) == r {
-							ok = false
-							break
-						}
-					} else if a, has := assign[nb]; has && a == r {
-						ok = false
-						break
-					}
-				}
-				if ok {
+				if !taken.Has(r) {
 					got = int16(r)
 					break
 				}
@@ -230,7 +241,7 @@ func allocate(f *lfunc, dir *pdb.ProcDirectives, clobberOf func(callee string) r
 				failed = v
 				break
 			}
-			assign[v] = uint8(got)
+			assign[v] = got
 		}
 
 		if failed >= 0 {
@@ -239,7 +250,11 @@ func allocate(f *lfunc, dir *pdb.ProcDirectives, clobberOf func(callee string) r
 		}
 
 		// Success: rewrite and account for save/restore needs.
-		for _, r := range assign {
+		for _, a := range assign {
+			if a < 0 {
+				continue
+			}
+			r := uint8(a)
 			if dir.Callee.Has(r) {
 				res.usedCallee = res.usedCallee.Add(r)
 			}
@@ -252,6 +267,21 @@ func allocate(f *lfunc, dir *pdb.ProcDirectives, clobberOf func(callee string) r
 	}
 }
 
+// resize returns s with length n and every element zero, reusing its
+// storage when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// setWords is the word count of a bit set over registers [0, n], as
+// ir.NewBitSet sizes it.
+func setWords(n int) int { return (n + 64) / 64 }
+
 func depthWeight(d int) float64 {
 	w := 1.0
 	for i := 0; i < d && i < 6; i++ {
@@ -260,60 +290,56 @@ func depthWeight(d int) float64 {
 	return w
 }
 
-// lirLiveness computes live-out sets per block over all registers.
-func lirLiveness(f *lfunc, n int) []map[vreg]bool {
-	use := make([]map[vreg]bool, len(f.blocks))
-	def := make([]map[vreg]bool, len(f.blocks))
+// lirLiveness computes live-out sets per block over registers [0, n]. The
+// sets are carved from f's liveness slab and stay valid until the next
+// call on f.
+func lirLiveness(f *lfunc, n int) []ir.BitSet {
+	nb := len(f.blocks)
+	words := setWords(n)
+	f.liveSlab = resize(f.liveSlab, 4*nb*words)
+	f.liveSets = resize(f.liveSets, 4*nb)
+	for i := range f.liveSets {
+		f.liveSets[i] = f.liveSlab[i*words : (i+1)*words : (i+1)*words]
+	}
+	use, def := f.liveSets[:nb], f.liveSets[nb:2*nb]
+	liveIn, liveOut := f.liveSets[2*nb:3*nb], f.liveSets[3*nb:]
+
 	var buf []vreg
 	for _, b := range f.blocks {
-		u, d := make(map[vreg]bool), make(map[vreg]bool)
+		u, d := use[b.id], def[b.id]
 		for i := range b.instrs {
 			in := &b.instrs[i]
 			var dd vreg
 			dd, buf = in.defUse(buf[:0])
 			for _, x := range buf {
-				if !d[x] {
-					u[x] = true
+				if !d.Has(int(x)) {
+					u.Set(int(x))
 				}
 			}
 			if dd >= 0 && dd != 0 {
-				d[dd] = true
+				d.Set(int(dd))
 			}
 			if in.isCall {
-				d[vreg(parv.RegRet)] = true
+				d.Set(int(parv.RegRet))
 			}
 		}
-		use[b.id], def[b.id] = u, d
-	}
-	liveIn := make([]map[vreg]bool, len(f.blocks))
-	liveOut := make([]map[vreg]bool, len(f.blocks))
-	for i := range liveIn {
-		liveIn[i] = make(map[vreg]bool)
-		liveOut[i] = make(map[vreg]bool)
 	}
 	for changed := true; changed; {
 		changed = false
-		for i := len(f.blocks) - 1; i >= 0; i-- {
+		for i := nb - 1; i >= 0; i-- {
 			b := f.blocks[i]
 			out := liveOut[b.id]
 			for _, s := range b.succs {
-				for v := range liveIn[s] {
-					if !out[v] {
-						out[v] = true
-						changed = true
-					}
-				}
-			}
-			in := liveIn[b.id]
-			for v := range out {
-				if !def[b.id][v] && !in[v] {
-					in[v] = true
+				if out.OrWith(liveIn[s]) {
 					changed = true
 				}
 			}
-			for v := range use[b.id] {
-				if !in[v] {
-					in[v] = true
+			// in |= use | (out - def)
+			in, u, d := liveIn[b.id], use[b.id], def[b.id]
+			for w := range in {
+				x := in[w] | u[w] | (out[w] &^ d[w])
+				if x != in[w] {
+					in[w] = x
 					changed = true
 				}
 			}
@@ -325,40 +351,41 @@ func lirLiveness(f *lfunc, n int) []map[vreg]bool {
 // deadElim removes instructions that define virtual registers nobody reads.
 func deadElim(f *lfunc) {
 	n := int(vregBase) + int(f.nvregs)
+	var (
+		live ir.BitSet
+		buf  []vreg
+	)
 	for {
 		liveOut := lirLiveness(f, n)
+		live = resize(live, setWords(n))
 		removed := false
-		var buf []vreg
 		for _, b := range f.blocks {
-			live := liveOut[b.id]
-			l := make(map[vreg]bool, len(live))
-			for v := range live {
-				l[v] = true
-			}
-			var kept []linstr
+			live.Copy(liveOut[b.id])
+			// Walk backwards, moving survivors to the tail in place.
+			k := len(b.instrs)
 			for i := len(b.instrs) - 1; i >= 0; i-- {
-				in := b.instrs[i]
+				in := &b.instrs[i]
 				var def vreg
 				def, buf = in.defUse(buf[:0])
-				if !in.hasEffect() && def > 0 && !def.isPhys() && !l[def] {
+				if !in.hasEffect() && def > 0 && !def.isPhys() && !live.Has(int(def)) {
 					removed = true
 					continue
 				}
 				if def >= 0 && def != 0 {
-					delete(l, def)
+					live.Clear(int(def))
 				}
 				if in.isCall {
-					delete(l, vreg(parv.RegRet))
+					live.Clear(int(parv.RegRet))
 				}
 				for _, u := range buf {
-					l[u] = true
+					live.Set(int(u))
 				}
-				kept = append(kept, in)
+				k--
+				if k != i {
+					b.instrs[k] = *in
+				}
 			}
-			for i, j := 0, len(kept)-1; i < j; i, j = i+1, j-1 {
-				kept[i], kept[j] = kept[j], kept[i]
-			}
-			b.instrs = kept
+			b.instrs = b.instrs[k:]
 		}
 		if !removed {
 			return
@@ -420,12 +447,12 @@ func replaceUses(in *linstr, old, nw vreg) {
 }
 
 // rewrite substitutes assigned physical registers and drops identity moves.
-func rewrite(f *lfunc, assign map[vreg]uint8) {
+func rewrite(f *lfunc, assign []int16) {
 	sub := func(v vreg) vreg {
 		if v.isPhys() {
 			return v
 		}
-		if r, ok := assign[v]; ok {
+		if r := assign[v]; r >= 0 {
 			return vreg(r)
 		}
 		// Unreferenced leftover (defined but dead): map to the scratch
@@ -433,9 +460,9 @@ func rewrite(f *lfunc, assign map[vreg]uint8) {
 		return vreg(parv.RegAT)
 	}
 	for _, b := range f.blocks {
-		var out []linstr
+		n := 0
 		for i := range b.instrs {
-			in := b.instrs[i]
+			in := &b.instrs[i]
 			in.rd = sub(in.rd)
 			in.ra = sub(in.ra)
 			in.rb = sub(in.rb)
@@ -445,8 +472,11 @@ func rewrite(f *lfunc, assign map[vreg]uint8) {
 			if in.op == parv.MOV && in.rd == in.ra {
 				continue // identity move
 			}
-			out = append(out, in)
+			if n != i {
+				b.instrs[n] = *in
+			}
+			n++
 		}
-		b.instrs = out
+		b.instrs = b.instrs[:n]
 	}
 }

@@ -12,15 +12,15 @@ type Liveness struct {
 func ComputeLiveness(f *Func) *Liveness {
 	n := len(f.Blocks)
 	nr := int(f.NextReg)
-	lv := &Liveness{In: make([]BitSet, n), Out: make([]BitSet, n)}
-	use := make([]BitSet, n)
-	def := make([]BitSet, n)
-	for i := range lv.In {
-		lv.In[i] = NewBitSet(nr)
-		lv.Out[i] = NewBitSet(nr)
-		use[i] = NewBitSet(nr)
-		def[i] = NewBitSet(nr)
+	// All 4n sets share one slab, each sized as NewBitSet(nr).
+	words := (nr + 64) / 64
+	sets := make([]BitSet, 4*n)
+	slab := make([]uint64, 4*n*words)
+	for i := range sets {
+		sets[i] = slab[i*words : (i+1)*words : (i+1)*words]
 	}
+	lv := &Liveness{In: sets[:n:n], Out: sets[n : 2*n : 2*n]}
+	use, def := sets[2*n:3*n], sets[3*n:]
 
 	var scratch []Reg
 	for _, b := range f.Blocks {
@@ -52,7 +52,6 @@ func ComputeLiveness(f *Func) *Liveness {
 	// Iterate to fixpoint, visiting blocks in reverse order for fast
 	// convergence on reducible CFGs.
 	changed := true
-	tmp := NewBitSet(nr)
 	for changed {
 		changed = false
 		for i := n - 1; i >= 0; i-- {
@@ -64,14 +63,12 @@ func ComputeLiveness(f *Func) *Liveness {
 				}
 			}
 			// in = use ∪ (out - def)
-			tmp.Copy(out)
-			for w := range tmp {
-				tmp[w] &^= def[i][w]
-				tmp[w] |= use[i][w]
-			}
-			if !tmp.Equal(lv.In[i]) {
-				lv.In[i].Copy(tmp)
-				changed = true
+			in, u, d := lv.In[i], use[i], def[i]
+			for w := range in {
+				if x := u[w] | (out[w] &^ d[w]); x != in[w] {
+					in[w] = x
+					changed = true
+				}
 			}
 		}
 	}

@@ -9,14 +9,16 @@ import (
 // removed.
 func DeadCodeElim(f *ir.Func) bool {
 	changed := false
+	live := ir.NewBitSet(int(f.NextReg))
+	var dead []bool
+	var uses []ir.Reg
 	for {
 		f.Recompute()
 		lv := ir.ComputeLiveness(f)
 		removed := false
-		var uses []ir.Reg
 		for _, b := range f.Blocks {
-			// Walk backwards tracking liveness within the block.
-			live := ir.NewBitSet(int(f.NextReg))
+			// Walk backwards tracking liveness within the block, marking
+			// dead instructions; then compact the survivors in place.
 			live.Copy(lv.Out[b.ID])
 			if b.Term.Kind == ir.TermBranch {
 				live.Set(int(b.Term.Cond))
@@ -24,26 +26,25 @@ func DeadCodeElim(f *ir.Func) bool {
 			if b.Term.Kind == ir.TermReturn && b.Term.HasVal {
 				live.Set(int(b.Term.Val))
 			}
-			out := b.Instrs[:0]
-			// Collect surviving instructions in reverse, then un-reverse.
-			var kept []ir.Instr
+			dead = append(dead[:0], make([]bool, len(b.Instrs))...)
 			for i := len(b.Instrs) - 1; i >= 0; i-- {
-				in := b.Instrs[i]
+				in := &b.Instrs[i]
 				d := in.Def()
-				dead := !in.HasSideEffects() && (d == 0 || !live.Has(int(d)))
+				isDead := !in.HasSideEffects() && (d == 0 || !live.Has(int(d)))
 				// Writes to pinned (web) registers are observable by
 				// callees and callers; they are never dead.
 				if d != 0 && f.IsPinned(d) {
-					dead = false
+					isDead = false
 				}
 				if in.Op == ir.Nop {
-					dead = true
+					isDead = true
 				}
 				// A call whose result is unused still executes; clear Dst.
 				if in.Op == ir.Call && in.Dst != 0 && !live.Has(int(in.Dst)) {
 					in.Dst = 0
 				}
-				if dead {
+				if isDead {
+					dead[i] = true
 					removed = true
 					continue
 				}
@@ -54,12 +55,18 @@ func DeadCodeElim(f *ir.Func) bool {
 				for _, u := range uses {
 					live.Set(int(u))
 				}
-				kept = append(kept, in)
 			}
-			for i := len(kept) - 1; i >= 0; i-- {
-				out = append(out, kept[i])
+			n := 0
+			for i := range b.Instrs {
+				if dead[i] {
+					continue
+				}
+				if n != i {
+					b.Instrs[n] = b.Instrs[i]
+				}
+				n++
 			}
-			b.Instrs = out
+			b.Instrs = b.Instrs[:n]
 		}
 		if !removed {
 			break

@@ -25,8 +25,9 @@ func Level2(f *ir.Func, eligible map[string]bool, skipGlobals map[string]bool) {
 	}
 }
 
-// Level1 runs only the scalar cleanups (no global promotion); used for the
-// unoptimized comparison point and by tests.
+// Level1 runs only the scalar cleanups (no global promotion). Phase 1's
+// summary computation is its only caller outside tests: reference and call
+// frequencies must reflect raw global accesses.
 func Level1(f *ir.Func) {
 	for i := 0; i < 2; i++ {
 		LocalOpt(f)
@@ -41,19 +42,54 @@ func Level1(f *ir.Func) {
 
 // LocalOpt optimizes each basic block independently.
 func LocalOpt(f *ir.Func) {
+	st := &lvState{
+		ver:     make([]uint32, int(f.NextReg)+1),
+		constOf: make(map[ir.Reg]constFact),
+		copyOf:  make(map[ir.Reg]copyFact),
+		exprVN:  make(map[vnKey]valFact),
+		loadVN:  make(map[memKey]valFact),
+	}
 	for _, b := range f.Blocks {
-		optBlock(f, b)
+		clear(st.constOf)
+		clear(st.copyOf)
+		clear(st.exprVN)
+		clear(st.loadVN)
+		st.optBlock(f, b)
 	}
 }
 
+// lvState is what the scan of one block knows. Every fact records the
+// version of each register it mentions, and redefining a register bumps
+// its version, so a fact that names a redefined register reads as absent
+// without any scan of the tables.
 type lvState struct {
-	constOf map[ir.Reg]int64 // register holds a known constant
-	copyOf  map[ir.Reg]ir.Reg
+	ver     []uint32 // per-register version; kill increments it
+	constOf map[ir.Reg]constFact
+	copyOf  map[ir.Reg]copyFact
 	// exprVN maps a value-numbering key to the register holding it.
-	exprVN map[vnKey]ir.Reg
+	exprVN map[vnKey]valFact
 	// loadVN maps memory locations to the register holding the last
 	// loaded/stored value; invalidated conservatively.
-	loadVN map[memKey]ir.Reg
+	loadVN map[memKey]valFact
+}
+
+// constFact: the register (at version ver) holds val.
+type constFact struct {
+	val int64
+	ver uint32
+}
+
+// copyFact: the register (at version ver) is a copy of src (at srcVer).
+type copyFact struct {
+	src         ir.Reg
+	ver, srcVer uint32
+}
+
+// valFact: register r (at rVer) holds a value computed from the key's
+// registers, at versions aVer and bVer (a load's base is its a).
+type valFact struct {
+	r                ir.Reg
+	rVer, aVer, bVer uint32
 }
 
 type vnKey struct {
@@ -71,138 +107,136 @@ type memKey struct {
 	size uint8
 }
 
-func optBlock(f *ir.Func, b *ir.Block) {
-	st := &lvState{
-		constOf: make(map[ir.Reg]int64),
-		copyOf:  make(map[ir.Reg]ir.Reg),
-		exprVN:  make(map[vnKey]ir.Reg),
-		loadVN:  make(map[memKey]ir.Reg),
-	}
+// kill invalidates everything known about register r (it is being
+// redefined).
+func (st *lvState) kill(r ir.Reg) { st.ver[r]++ }
 
-	// resolve follows copy chains to the oldest equivalent register still
-	// holding the value.
-	resolve := func(r ir.Reg) ir.Reg {
-		for {
-			c, ok := st.copyOf[r]
-			if !ok {
-				return r
-			}
-			r = c
-		}
-	}
+func (st *lvState) constant(r ir.Reg) (int64, bool) {
+	c, ok := st.constOf[r]
+	return c.val, ok && c.ver == st.ver[r]
+}
 
-	// kill invalidates everything known about register r (it is being
-	// redefined).
-	kill := func(r ir.Reg) {
-		delete(st.constOf, r)
-		delete(st.copyOf, r)
-		for k, v := range st.exprVN {
-			if v == r || k.a == r || k.b == r {
-				delete(st.exprVN, k)
-			}
-		}
-		for k, v := range st.loadVN {
-			if v == r || k.base == r {
-				delete(st.loadVN, k)
-			}
-		}
-		for k, v := range st.copyOf {
-			if v == r {
-				delete(st.copyOf, k)
-			}
-		}
-	}
+func (st *lvState) setConst(r ir.Reg, v int64) {
+	st.constOf[r] = constFact{val: v, ver: st.ver[r]}
+}
 
-	clobberMemory := func(callLike bool) {
-		// A call may modify any global or escaped frame slot, and any
-		// pointer store may alias any of them (worst-case aliasing).
-		for k := range st.loadVN {
-			_ = callLike
-			delete(st.loadVN, k)
-		}
-	}
+func (st *lvState) setCopy(dst, src ir.Reg) {
+	st.copyOf[dst] = copyFact{src: src, ver: st.ver[dst], srcVer: st.ver[src]}
+}
 
+// resolve follows copy chains to the oldest equivalent register still
+// holding the value.
+func (st *lvState) resolve(r ir.Reg) ir.Reg {
+	for {
+		c, ok := st.copyOf[r]
+		if !ok || c.ver != st.ver[r] || c.srcVer != st.ver[c.src] {
+			return r
+		}
+		r = c.src
+	}
+}
+
+// clobberMemory forgets every memory fact: a call may modify any global
+// or escaped frame slot, and a pointer store may alias any of them.
+func (st *lvState) clobberMemory() { clear(st.loadVN) }
+
+func (st *lvState) fact(r, a, b ir.Reg) valFact {
+	return valFact{r: r, rVer: st.ver[r], aVer: st.ver[a], bVer: st.ver[b]}
+}
+
+func (st *lvState) expr(k vnKey) (ir.Reg, bool) {
+	v, ok := st.exprVN[k]
+	return v.r, ok && v.rVer == st.ver[v.r] && v.aVer == st.ver[k.a] && v.bVer == st.ver[k.b]
+}
+
+func (st *lvState) load(k memKey) (ir.Reg, bool) {
+	v, ok := st.loadVN[k]
+	return v.r, ok && v.rVer == st.ver[v.r] && v.aVer == st.ver[k.base]
+}
+
+func (st *lvState) optBlock(f *ir.Func, b *ir.Block) {
 	for i := range b.Instrs {
 		in := &b.Instrs[i]
 
 		// Rewrite operands through copy chains.
 		switch {
 		case in.Op == ir.Store:
-			in.A = resolve(in.A)
+			in.A = st.resolve(in.A)
 			if in.Mem.Kind == ir.MemPtr {
-				in.Mem.Base = resolve(in.Mem.Base)
+				in.Mem.Base = st.resolve(in.Mem.Base)
 			}
 		case in.Op == ir.Load:
 			if in.Mem.Kind == ir.MemPtr {
-				in.Mem.Base = resolve(in.Mem.Base)
+				in.Mem.Base = st.resolve(in.Mem.Base)
 			}
 		case in.Op == ir.Call:
 			for j := range in.Args {
-				in.Args[j] = resolve(in.Args[j])
+				in.Args[j] = st.resolve(in.Args[j])
 			}
 			if in.IndirectCall {
-				in.A = resolve(in.A)
+				in.A = st.resolve(in.A)
 			}
 		case in.Op == ir.Copy || in.Op == ir.Neg || in.Op == ir.Not:
-			in.A = resolve(in.A)
+			in.A = st.resolve(in.A)
 		default:
 			if in.Op.IsBinary() {
-				in.A = resolve(in.A)
-				in.B = resolve(in.B)
+				in.A = st.resolve(in.A)
+				in.B = st.resolve(in.B)
 			}
 		}
 
 		switch in.Op {
 		case ir.Const:
-			kill(in.Dst)
-			st.constOf[in.Dst] = in.Imm
+			st.kill(in.Dst)
+			st.setConst(in.Dst, in.Imm)
 
 		case ir.Copy:
 			src := in.A
-			kill(in.Dst)
-			if v, ok := st.constOf[src]; ok {
-				st.constOf[in.Dst] = v
+			st.kill(in.Dst)
+			if v, ok := st.constant(src); ok {
+				st.setConst(in.Dst, v)
 			}
 			if src != in.Dst {
-				st.copyOf[in.Dst] = src
+				st.setCopy(in.Dst, src)
 			}
 
 		case ir.Neg, ir.Not:
-			if v, ok := st.constOf[in.A]; ok {
+			if v, ok := st.constant(in.A); ok {
 				nv := -v
 				if in.Op == ir.Not {
 					nv = int64(^int32(v))
 				}
 				*in = ir.Instr{Op: ir.Const, Dst: in.Dst, Imm: int64(int32(nv))}
-				kill(in.Dst)
-				st.constOf[in.Dst] = in.Imm
+				st.kill(in.Dst)
+				st.setConst(in.Dst, in.Imm)
 				continue
 			}
-			kill(in.Dst)
+			st.kill(in.Dst)
 
 		case ir.Load:
 			key := memKey{kind: in.Mem.Kind, sym: in.Mem.Sym, base: in.Mem.Base, off: in.Mem.Off, size: in.Mem.Size}
-			if prev, ok := st.loadVN[key]; ok {
+			if prev, ok := st.load(key); ok {
 				dst := in.Dst
 				*in = ir.Instr{Op: ir.Copy, Dst: dst, A: prev}
-				kill(dst)
-				st.copyOf[dst] = prev
-				if v, okc := st.constOf[prev]; okc {
-					st.constOf[dst] = v
+				st.kill(dst)
+				st.setCopy(dst, prev)
+				if v, okc := st.constant(prev); okc {
+					st.setConst(dst, v)
 				}
 				continue
 			}
-			kill(in.Dst)
-			st.loadVN[key] = in.Dst
+			st.kill(in.Dst)
+			st.loadVN[key] = st.fact(in.Dst, key.base, 0)
 
 		case ir.Store:
-			// A store invalidates overlapping memory facts. With worst-case
-			// aliasing, a pointer store kills everything; a direct store
-			// kills only same-location entries (different globals and frame
-			// slots cannot alias each other or pointer targets of distinct
-			// names... pointer targets CAN alias them, so those die too).
+			// A store invalidates the memory facts it may alias. Under
+			// worst-case aliasing a pointer store may write anywhere, so it
+			// kills every fact. A direct store kills the facts about
+			// overlapping bytes of the same global (or of the frame, for a
+			// frame store), plus every pointer-based fact, since that
+			// pointer may target the stored bytes.
 			if in.Mem.Kind == ir.MemPtr {
-				clobberMemory(false)
+				st.clobberMemory()
 			} else {
 				for k := range st.loadVN {
 					if overlaps(k, in.Mem) {
@@ -211,44 +245,44 @@ func optBlock(f *ir.Func, b *ir.Block) {
 				}
 			}
 			key := memKey{kind: in.Mem.Kind, sym: in.Mem.Sym, base: in.Mem.Base, off: in.Mem.Off, size: in.Mem.Size}
-			st.loadVN[key] = in.A
+			st.loadVN[key] = st.fact(in.A, key.base, 0)
 
 		case ir.Call:
-			clobberMemory(true)
+			st.clobberMemory()
 			// Pinned (web) registers are shared with callees: the callee
 			// may read and write the promoted global, so every fact about
 			// a pinned register dies at a call.
 			for r := range f.Pinned {
-				kill(r)
+				st.kill(r)
 			}
 			if in.Dst != 0 {
-				kill(in.Dst)
+				st.kill(in.Dst)
 			}
 
 		case ir.AddrGlobal, ir.AddrFrame:
 			key := vnKey{op: in.Op, imm: in.Imm, sym: in.Callee}
-			if prev, ok := st.exprVN[key]; ok {
+			if prev, ok := st.expr(key); ok {
 				dst := in.Dst
 				*in = ir.Instr{Op: ir.Copy, Dst: dst, A: prev}
-				kill(dst)
-				st.copyOf[dst] = prev
+				st.kill(dst)
+				st.setCopy(dst, prev)
 				continue
 			}
-			kill(in.Dst)
-			st.exprVN[key] = in.Dst
+			st.kill(in.Dst)
+			st.exprVN[key] = st.fact(in.Dst, 0, 0)
 
 		default:
 			if !in.Op.IsBinary() {
 				continue
 			}
-			va, oka := st.constOf[in.A]
-			vb, okb := st.constOf[in.B]
+			va, oka := st.constant(in.A)
+			vb, okb := st.constant(in.B)
 			if oka && okb {
 				if v, ok := foldBinary(in.Op, va, vb); ok {
 					dst := in.Dst
 					*in = ir.Instr{Op: ir.Const, Dst: dst, Imm: v}
-					kill(dst)
-					st.constOf[dst] = v
+					st.kill(dst)
+					st.setConst(dst, v)
 					continue
 				}
 			}
@@ -256,8 +290,8 @@ func optBlock(f *ir.Func, b *ir.Block) {
 			if r, ok := simplifyBinary(in, va, oka, vb, okb); ok {
 				dst := in.Dst
 				*in = ir.Instr{Op: ir.Copy, Dst: dst, A: r}
-				kill(dst)
-				st.copyOf[dst] = r
+				st.kill(dst)
+				st.setCopy(dst, r)
 				continue
 			}
 			// Value numbering (normalize commutative operand order).
@@ -266,22 +300,22 @@ func optBlock(f *ir.Func, b *ir.Block) {
 				a, bb = bb, a
 			}
 			key := vnKey{op: in.Op, a: a, b: bb}
-			if prev, ok := st.exprVN[key]; ok && prev != in.Dst {
+			if prev, ok := st.expr(key); ok && prev != in.Dst {
 				dst := in.Dst
 				*in = ir.Instr{Op: ir.Copy, Dst: dst, A: prev}
-				kill(dst)
-				st.copyOf[dst] = prev
+				st.kill(dst)
+				st.setCopy(dst, prev)
 				continue
 			}
-			kill(in.Dst)
-			st.exprVN[key] = in.Dst
+			st.kill(in.Dst)
+			st.exprVN[key] = st.fact(in.Dst, a, bb)
 		}
 	}
 
 	// Propagate into the terminator.
 	if b.Term.Kind == ir.TermBranch {
-		b.Term.Cond = resolve(b.Term.Cond)
-		if v, ok := st.constOf[b.Term.Cond]; ok {
+		b.Term.Cond = st.resolve(b.Term.Cond)
+		if v, ok := st.constant(b.Term.Cond); ok {
 			t := b.Term.True
 			if v == 0 {
 				t = b.Term.False
@@ -290,7 +324,7 @@ func optBlock(f *ir.Func, b *ir.Block) {
 		}
 	}
 	if b.Term.Kind == ir.TermReturn && b.Term.HasVal {
-		b.Term.Val = resolve(b.Term.Val)
+		b.Term.Val = st.resolve(b.Term.Val)
 	}
 }
 

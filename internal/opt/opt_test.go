@@ -349,3 +349,43 @@ int f(int x) {
 		t.Errorf("loads of g = %d, want 1 (entry only):\n%s", n, f)
 	}
 }
+
+// TestLocalOptForgetsRedefinedRegisters pins the kill rule of the local
+// optimizer: once a register is redefined, no fact that mentions it — as
+// an expression operand, as the register holding a value, or as either
+// end of a copy — may be used again in the block.
+func TestLocalOptForgetsRedefinedRegisters(t *testing.T) {
+	g := ir.MemRef{Kind: ir.MemGlobal, Sym: "g", Size: 4, Singleton: true}
+	f := &ir.Func{Name: "f", NParams: 2, Params: []ir.Reg{1, 2}, NextReg: 11}
+	f.Blocks = []*ir.Block{{ID: 0, Instrs: []ir.Instr{
+		{Op: ir.Add, Dst: 3, A: 1, B: 2}, // 0
+		{Op: ir.Const, Dst: 1, Imm: 7},   // 1: operand r1 redefined
+		{Op: ir.Add, Dst: 4, A: 1, B: 2}, // 2: must not reuse r3
+		{Op: ir.Copy, Dst: 5, A: 2},      // 3
+		{Op: ir.Const, Dst: 2, Imm: 9},   // 4: copy source r2 redefined
+		{Op: ir.Add, Dst: 6, A: 5, B: 4}, // 5: r5 must not resolve to r2
+		{Op: ir.Mul, Dst: 7, A: 4, B: 6}, // 6
+		{Op: ir.Const, Dst: 7, Imm: 1},   // 7: holder r7 redefined
+		{Op: ir.Mul, Dst: 8, A: 4, B: 6}, // 8: must not reuse r7
+		{Op: ir.Load, Dst: 9, Mem: g},    // 9
+		{Op: ir.Const, Dst: 9, Imm: 3},   // 10: holder r9 redefined
+		{Op: ir.Load, Dst: 10, Mem: g},   // 11: must reload g
+	}, Term: ir.Term{Kind: ir.TermReturn, Val: 10, HasVal: true}}}
+	LocalOpt(f)
+
+	in := f.Blocks[0].Instrs
+	for _, c := range []struct {
+		i    int
+		op   ir.Op
+		a, b ir.Reg
+	}{
+		{2, ir.Add, 1, 2},
+		{5, ir.Add, 5, 4},
+		{8, ir.Mul, 4, 6},
+		{11, ir.Load, 0, 0},
+	} {
+		if got := in[c.i]; got.Op != c.op || got.A != c.a || got.B != c.b {
+			t.Errorf("instr %d = %v, want %v %v, %v", c.i, got, c.op, c.a, c.b)
+		}
+	}
+}

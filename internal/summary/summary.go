@@ -17,6 +17,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"os"
 	"sort"
 
@@ -192,10 +193,12 @@ func EstimateCallerSaves(f *ir.Func) int {
 	peak := 0
 	walk(f, lv, func(in *ir.Instr, live ir.BitSet) {
 		n := 0
-		for i := 1; i <= int(f.NextReg); i++ {
-			if live.Has(i) && !crossing.Has(i) {
-				n++
+		for w := range live {
+			x := live[w] &^ crossing[w]
+			if w == 0 {
+				x &^= 1 // register 0 is "no register"
 			}
+			n += bits.OnesCount64(x)
 		}
 		if n > peak {
 			peak = n
@@ -211,8 +214,8 @@ func EstimateCallerSaves(f *ir.Func) int {
 // per-block reconstruction from block-level liveness).
 func walk(f *ir.Func, lv *ir.Liveness, fn func(in *ir.Instr, liveAfter ir.BitSet)) {
 	var uses []ir.Reg
+	live := ir.NewBitSet(int(f.NextReg))
 	for _, b := range f.Blocks {
-		live := ir.NewBitSet(int(f.NextReg))
 		live.Copy(lv.Out[b.ID])
 		if b.Term.Kind == ir.TermBranch {
 			live.Set(int(b.Term.Cond))
@@ -244,10 +247,10 @@ func EstimateCalleeSaves(f *ir.Func) int {
 	f.Recompute()
 	lv := ir.ComputeLiveness(f)
 	liveAcross := ir.NewBitSet(int(f.NextReg))
-
+	live := ir.NewBitSet(int(f.NextReg))
+	var uses []ir.Reg
 	for _, b := range f.Blocks {
 		// Recompute backwards liveness inside the block, sampling at calls.
-		live := ir.NewBitSet(int(f.NextReg))
 		live.Copy(lv.Out[b.ID])
 		if b.Term.Kind == ir.TermBranch {
 			live.Set(int(b.Term.Cond))
@@ -255,7 +258,6 @@ func EstimateCalleeSaves(f *ir.Func) int {
 		if b.Term.Kind == ir.TermReturn && b.Term.HasVal {
 			live.Set(int(b.Term.Val))
 		}
-		var uses []ir.Reg
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := &b.Instrs[i]
 			if d := in.Def(); d != 0 {

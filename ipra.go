@@ -244,46 +244,49 @@ func Phase2(m *ir.Module, db *pdb.Database) (*parv.Object, error) {
 
 // Summaries produces the summary file contents for each module, fanning
 // the independent per-module work across CPUs. Following the prototype
-// described in §6, the first phase optimizes scratch copies before
-// summarizing: reference and call frequencies come from a copy without
+// described in §6, the first phase optimizes a scratch copy before
+// summarizing: reference and call frequencies come from the copy without
 // global promotion (counts must reflect raw accesses), while the
-// callee-saves register estimate comes from a fully optimized copy, since
-// intraprocedural global promotion adds values that live across calls.
+// callee-saves register estimate comes from the same copy optimized
+// further to level 2, closer to the code phase 2 allocates.
 func Summaries(mods []*ir.Module) []*summary.ModuleSummary {
 	out, _ := pipeline.Map(0, mods, func(_ int, m *ir.Module) (*summary.ModuleSummary, error) {
-		return summarizeModule(m), nil
+		return summarizeModule(context.TODO(), m), nil
 	})
 	return out
 }
 
 // summarizeModule computes one module's summary record (see Summaries).
-// It never mutates m: all optimization runs on scratch clones.
-func summarizeModule(m *ir.Module) *summary.ModuleSummary {
+// It never mutates m: all optimization runs on one scratch clone. Under
+// telemetry it records "level1", "summary" and "estimate" spans.
+func summarizeModule(ctx context.Context, m *ir.Module) *summary.ModuleSummary {
+	_, span := telemetry.StartSpan(ctx, "level1")
 	scratch := m.Clone()
 	for _, f := range scratch.Funcs {
 		opt.Level1(f)
 	}
-	ms := summary.SummarizeModule(scratch)
-	byName := make(map[string]*summary.ProcRecord, len(ms.Procs))
-	for i := range ms.Procs {
-		byName[ms.Procs[i].Name] = &ms.Procs[i]
-	}
+	span.End()
 
-	// Refine the register-need estimates on a level-2-optimized copy
-	// (module-local eligibility approximates what phase 2 will do).
+	_, span = telemetry.StartSpan(ctx, "summary")
+	ms := summary.SummarizeModule(scratch)
+	span.End()
+
+	// Refine the register-need estimates after level 2 on the same scratch
+	// (module-local eligibility approximates what phase 2 will do). The
+	// records hold no references into the IR, so the scratch is free to
+	// change now.
+	_, span = telemetry.StartSpan(ctx, "estimate")
 	local := make(map[string]bool)
 	for _, g := range m.Globals {
 		if g.Scalar && g.Defined && !g.AddrTaken && g.Size <= 4 {
 			local[g.Name] = true
 		}
 	}
-	full := m.Clone()
-	for _, f := range full.Funcs {
+	for i, f := range scratch.Funcs {
 		opt.Level2(f, local, nil)
-		if rec := byName[f.Name]; rec != nil {
-			rec.CalleeSavesNeeded = summary.EstimateCalleeSaves(f)
-		}
+		ms.Procs[i].CalleeSavesNeeded = summary.EstimateCalleeSaves(f)
 	}
+	span.End()
 	return ms
 }
 
@@ -312,8 +315,8 @@ func phase1Module(ctx context.Context, src Source) (*ir.Module, *summary.ModuleS
 	if err != nil {
 		return nil, nil, err
 	}
-	_, sumSpan := telemetry.StartSpan(ctx, "summarize")
-	ms := summarizeModule(m)
+	sumCtx, sumSpan := telemetry.StartSpan(ctx, "summarize")
+	ms := summarizeModule(sumCtx, m)
 	sumSpan.End()
 	return m, ms, nil
 }
@@ -520,22 +523,34 @@ func eligibleMap(db *pdb.Database) map[string]bool {
 // direct callees, and the eligibility of the globals it loads and stores —
 // the phase-2 view the incremental driver diffs.
 func phase2Module(ctx context.Context, m *ir.Module, db *pdb.Database, eligible map[string]bool) (*parv.Object, error) {
-	_, span := telemetry.StartSpan(ctx, "module")
+	ctx, span := telemetry.StartSpan(ctx, "module")
 	defer span.End()
 	span.SetStr("module", m.Name)
+
+	// Web-promoted globals become pinned register references before
+	// scalar optimization, so copy propagation folds them into their
+	// uses (§5). Each function's steps touch only that function.
+	_, sub := telemetry.StartSpan(ctx, "directives")
 	work := m.Clone()
-	for _, f := range work.Funcs {
-		dir := db.Lookup(f.Name)
-		skip := make(map[string]bool, len(dir.Promoted))
-		for _, pg := range dir.Promoted {
+	dirs := make([]*pdb.ProcDirectives, len(work.Funcs))
+	for i, f := range work.Funcs {
+		dirs[i] = db.Lookup(f.Name)
+		opt.ApplyWebDirectives(f, dirs[i].Promoted)
+	}
+	sub.End()
+
+	_, sub = telemetry.StartSpan(ctx, "opt")
+	for i, f := range work.Funcs {
+		skip := make(map[string]bool, len(dirs[i].Promoted))
+		for _, pg := range dirs[i].Promoted {
 			skip[pg.Name] = true
 		}
-		// Web-promoted globals become pinned register references
-		// before scalar optimization, so copy propagation folds them
-		// into their uses (§5).
-		opt.ApplyWebDirectives(f, dir.Promoted)
 		opt.Level2(f, eligible, skip)
 	}
+	sub.End()
+
+	_, sub = telemetry.StartSpan(ctx, "codegen")
+	defer sub.End()
 	return codegen.Compile(work, db)
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"sort"
+	"strings"
 	"testing"
 
 	"ipra/internal/telemetry"
@@ -158,6 +159,71 @@ func requireNested(t *testing.T, byName map[string][]*chromeEvent, parent, child
 	}
 }
 
+// nestedInAny reports whether e lies inside one of the slices.
+func nestedInAny(outer []*chromeEvent, e *chromeEvent) bool {
+	for _, o := range outer {
+		if contains(o, e) {
+			return true
+		}
+	}
+	return false
+}
+
+// checkModuleSubSpans asserts, on the report tree, that every phase-1
+// module's summarize span has exactly the children level1, summary and
+// estimate, and every phase-2 module span exactly directives, opt and
+// codegen; and that there are want1 and want2 such modules.
+func checkModuleSubSpans(t *testing.T, rep *telemetry.Report, want1, want2 int) {
+	t.Helper()
+	names := func(s *telemetry.ReportSpan) []string {
+		var out []string
+		for _, c := range s.Children {
+			out = append(out, c.Name)
+		}
+		return out
+	}
+	same := func(got []string, want ...string) bool {
+		sort.Strings(got)
+		sort.Strings(want)
+		return strings.Join(got, ",") == strings.Join(want, ",")
+	}
+	n1, n2 := 0, 0
+	// phase is the nearest enclosing phase span; modules may sit under
+	// pool "worker" spans.
+	var walk func(ss []*telemetry.ReportSpan, phase string)
+	walk = func(ss []*telemetry.ReportSpan, phase string) {
+		for _, m := range ss {
+			switch {
+			case m.Name == "phase1" || m.Name == "phase2":
+				phase = m.Name
+			case m.Name == "module" && phase == "phase1":
+				n1++
+				var sum *telemetry.ReportSpan
+				for _, c := range m.Children {
+					if c.Name == "summarize" {
+						sum = c
+					}
+				}
+				if sum == nil {
+					t.Errorf("phase-1 module %v has no summarize span", m.Attrs["module"])
+				} else if got := names(sum); !same(got, "level1", "summary", "estimate") {
+					t.Errorf("phase-1 module %v: summarize children %v, want level1, summary, estimate", m.Attrs["module"], got)
+				}
+			case m.Name == "module" && phase == "phase2":
+				n2++
+				if got := names(m); !same(got, "directives", "opt", "codegen") {
+					t.Errorf("phase-2 module %v: children %v, want directives, opt, codegen", m.Attrs["module"], got)
+				}
+			}
+			walk(m.Children, phase)
+		}
+	}
+	walk(rep.Spans, "")
+	if n1 != want1 || n2 != want2 {
+		t.Errorf("module spans with sub-spans: %d in phase 1, %d in phase 2; want %d and %d", n1, n2, want1, want2)
+	}
+}
+
 // TestTracedBuildChromeTrace is the golden telemetry test: a traced
 // profile-guided ConfigF build must export a well-formed Chrome
 // trace-event JSON with properly nested spans for both compiler phases,
@@ -214,10 +280,30 @@ func TestTracedBuildChromeTrace(t *testing.T) {
 		t.Errorf("summarize spans = %d, want 2 (the final pass reuses the training pass's phase 1)", n)
 	}
 
-	// Every analyzer stage nests inside the analyze span.
-	for _, stage := range []string{"callgraph", "refsets", "webs", "coloring", "clusters", "directives"} {
+	// Every analyzer stage nests inside the analyze span. Phase 2 has
+	// "directives" spans of its own, one per module and pass; the other
+	// two are the analyzer's, one per pass.
+	for _, stage := range []string{"callgraph", "refsets", "webs", "coloring", "clusters"} {
 		requireNested(t, byName, "analyze", stage)
 	}
+	var analyzerDirectives []*chromeEvent
+	phase2Directives := 0
+	for _, e := range byName["directives"] {
+		if nestedInAny(byName["phase2"], e) {
+			phase2Directives++
+		} else {
+			analyzerDirectives = append(analyzerDirectives, e)
+		}
+	}
+	requireNested(t, map[string][]*chromeEvent{"analyze": byName["analyze"], "directives": analyzerDirectives}, "analyze", "directives")
+	if a := len(analyzerDirectives); a != 2 || phase2Directives != 4 {
+		t.Errorf("directives spans: %d in the analyzer, %d in phase 2; want 2 and 4", a, phase2Directives)
+	}
+
+	// Each module's compile work splits into sub-spans: summarize into
+	// level1, summary and estimate in phase 1, and the module span into
+	// directives, opt and codegen in phase 2.
+	checkModuleSubSpans(t, res.Report, 2, 4)
 
 	for _, c := range []string{"analyzer.webs", "analyzer.webs_colored"} {
 		if _, ok := counters[c]; !ok {
