@@ -113,7 +113,6 @@ func allocate(f *lfunc, dir *pdb.ProcDirectives, clobberOf func(callee string) r
 
 	// Per-round scratch, indexed by register and reused across rounds.
 	var (
-		live    ir.BitSet
 		crosses []bool
 		cost    []float64
 		adj     [][]vreg   // virtual neighbours of each virtual register
@@ -129,8 +128,7 @@ func allocate(f *lfunc, dir *pdb.ProcDirectives, clobberOf func(callee string) r
 		deadElim(f)
 
 		n := int(vregBase) + int(f.nvregs)
-		liveOut := lirLiveness(f, n)
-		live = resize(live, setWords(n))
+		liveOut, live := lirLiveness(f, n)
 		crosses = resize(crosses, n)
 		cost = resize(cost, n)
 		phys = resize(phys, n)
@@ -278,10 +276,6 @@ func resize[T any](s []T, n int) []T {
 	return s
 }
 
-// setWords is the word count of a bit set over registers [0, n], as
-// ir.NewBitSet sizes it.
-func setWords(n int) int { return (n + 64) / 64 }
-
 func depthWeight(d int) float64 {
 	w := 1.0
 	for i := 0; i < d && i < 6; i++ {
@@ -290,19 +284,16 @@ func depthWeight(d int) float64 {
 	return w
 }
 
-// lirLiveness computes live-out sets per block over registers [0, n]. The
-// sets are carved from f's liveness slab and stay valid until the next
-// call on f.
-func lirLiveness(f *lfunc, n int) []ir.BitSet {
+// lirLiveness computes live-out sets per block over registers [0, n],
+// plus one more set of that size for the caller's backward scan. The sets
+// are carved from f's liveness slab and stay valid until the next call on
+// f.
+func lirLiveness(f *lfunc, n int) (liveOut []ir.BitSet, scratch ir.BitSet) {
 	nb := len(f.blocks)
-	words := setWords(n)
-	f.liveSlab = resize(f.liveSlab, 4*nb*words)
-	f.liveSets = resize(f.liveSets, 4*nb)
-	for i := range f.liveSets {
-		f.liveSets[i] = f.liveSlab[i*words : (i+1)*words : (i+1)*words]
-	}
+	f.liveSlab, f.liveSets = ir.CarveBitSets(f.liveSlab, f.liveSets, 4*nb+1, n)
 	use, def := f.liveSets[:nb], f.liveSets[nb:2*nb]
-	liveIn, liveOut := f.liveSets[2*nb:3*nb], f.liveSets[3*nb:]
+	liveIn, liveOut := f.liveSets[2*nb:3*nb], f.liveSets[3*nb:4*nb]
+	scratch = f.liveSets[4*nb]
 
 	var buf []vreg
 	for _, b := range f.blocks {
@@ -345,19 +336,15 @@ func lirLiveness(f *lfunc, n int) []ir.BitSet {
 			}
 		}
 	}
-	return liveOut
+	return liveOut, scratch
 }
 
 // deadElim removes instructions that define virtual registers nobody reads.
 func deadElim(f *lfunc) {
 	n := int(vregBase) + int(f.nvregs)
-	var (
-		live ir.BitSet
-		buf  []vreg
-	)
+	var buf []vreg
 	for {
-		liveOut := lirLiveness(f, n)
-		live = resize(live, setWords(n))
+		liveOut, live := lirLiveness(f, n)
 		removed := false
 		for _, b := range f.blocks {
 			live.Copy(liveOut[b.id])

@@ -14,7 +14,33 @@ import "math/bits"
 type BitSet []uint64
 
 // NewBitSet returns a bit set able to hold values in [0, n].
-func NewBitSet(n int) BitSet { return make(BitSet, (n+64)/64) }
+func NewBitSet(n int) BitSet { return make(BitSet, bitWords(n)) }
+
+// bitWords is the word count of a bit set able to hold values in [0, n].
+func bitWords(n int) int { return (n + 64) / 64 }
+
+// CarveBitSets returns count zeroed bit sets able to hold values in
+// [0, n], all cut from one word slab. It reuses slab and sets when they
+// are large enough, zeroing the slab; pass the returned pair back on the
+// next call. Sets carved earlier from the same slab are overwritten.
+func CarveBitSets(slab []uint64, sets []BitSet, count, n int) ([]uint64, []BitSet) {
+	w := bitWords(n)
+	if cap(slab) < count*w {
+		slab = make([]uint64, count*w)
+	} else {
+		slab = slab[:count*w]
+		clear(slab)
+	}
+	if cap(sets) < count {
+		sets = make([]BitSet, count)
+	} else {
+		sets = sets[:count]
+	}
+	for i := range sets {
+		sets[i] = slab[i*w : (i+1)*w : (i+1)*w]
+	}
+	return slab, sets
+}
 
 // Set adds i to the set.
 func (s BitSet) Set(i int) { s[i/64] |= 1 << uint(i%64) }
@@ -139,7 +165,7 @@ type BitArena struct {
 // the arena's current slab. The capacity is clipped so appends through
 // the set can never touch a sibling's words.
 func (a *BitArena) New(n int) BitSet {
-	w := (n + 64) / 64
+	w := bitWords(n)
 	if len(a.free) < w {
 		// Size chunks at several sets' worth so a typical construction
 		// pays one allocation for many sets, without holding more than

@@ -12,13 +12,7 @@ type Liveness struct {
 func ComputeLiveness(f *Func) *Liveness {
 	n := len(f.Blocks)
 	nr := int(f.NextReg)
-	// All 4n sets share one slab, each sized as NewBitSet(nr).
-	words := (nr + 64) / 64
-	sets := make([]BitSet, 4*n)
-	slab := make([]uint64, 4*n*words)
-	for i := range sets {
-		sets[i] = slab[i*words : (i+1)*words : (i+1)*words]
-	}
+	_, sets := CarveBitSets(nil, nil, 4*n, nr)
 	lv := &Liveness{In: sets[:n:n], Out: sets[n : 2*n : 2*n]}
 	use, def := sets[2*n:3*n], sets[3*n:]
 

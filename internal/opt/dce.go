@@ -10,15 +10,14 @@ import (
 func DeadCodeElim(f *ir.Func) bool {
 	changed := false
 	live := ir.NewBitSet(int(f.NextReg))
-	var dead []bool
 	var uses []ir.Reg
 	for {
 		f.Recompute()
 		lv := ir.ComputeLiveness(f)
 		removed := false
 		for _, b := range f.Blocks {
-			// Walk backwards tracking liveness within the block, marking
-			// dead instructions; then compact the survivors in place.
+			// Walk backwards tracking liveness within the block, moving
+			// survivors to the tail in place.
 			live.Copy(lv.Out[b.ID])
 			if b.Term.Kind == ir.TermBranch {
 				live.Set(int(b.Term.Cond))
@@ -26,7 +25,7 @@ func DeadCodeElim(f *ir.Func) bool {
 			if b.Term.Kind == ir.TermReturn && b.Term.HasVal {
 				live.Set(int(b.Term.Val))
 			}
-			dead = append(dead[:0], make([]bool, len(b.Instrs))...)
+			k := len(b.Instrs)
 			for i := len(b.Instrs) - 1; i >= 0; i-- {
 				in := &b.Instrs[i]
 				d := in.Def()
@@ -44,7 +43,6 @@ func DeadCodeElim(f *ir.Func) bool {
 					in.Dst = 0
 				}
 				if isDead {
-					dead[i] = true
 					removed = true
 					continue
 				}
@@ -55,18 +53,12 @@ func DeadCodeElim(f *ir.Func) bool {
 				for _, u := range uses {
 					live.Set(int(u))
 				}
-			}
-			n := 0
-			for i := range b.Instrs {
-				if dead[i] {
-					continue
+				k--
+				if k != i {
+					b.Instrs[k] = *in
 				}
-				if n != i {
-					b.Instrs[n] = b.Instrs[i]
-				}
-				n++
 			}
-			b.Instrs = b.Instrs[:n]
+			b.Instrs = b.Instrs[k:]
 		}
 		if !removed {
 			break

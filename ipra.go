@@ -244,11 +244,11 @@ func Phase2(m *ir.Module, db *pdb.Database) (*parv.Object, error) {
 
 // Summaries produces the summary file contents for each module, fanning
 // the independent per-module work across CPUs. Following the prototype
-// described in §6, the first phase optimizes a scratch copy before
-// summarizing: reference and call frequencies come from the copy without
+// described in §6, the first phase optimizes scratch copies before
+// summarizing: reference and call frequencies come from a copy without
 // global promotion (counts must reflect raw accesses), while the
-// callee-saves register estimate comes from the same copy optimized
-// further to level 2, closer to the code phase 2 allocates.
+// callee-saves register estimate comes from a fully optimized copy,
+// closer to the code phase 2 allocates.
 func Summaries(mods []*ir.Module) []*summary.ModuleSummary {
 	out, _ := pipeline.Map(0, mods, func(_ int, m *ir.Module) (*summary.ModuleSummary, error) {
 		return summarizeModule(context.TODO(), m), nil
@@ -257,8 +257,9 @@ func Summaries(mods []*ir.Module) []*summary.ModuleSummary {
 }
 
 // summarizeModule computes one module's summary record (see Summaries).
-// It never mutates m: all optimization runs on one scratch clone. Under
-// telemetry it records "level1", "summary" and "estimate" spans.
+// It never mutates m: level 1 runs on one scratch clone and level 2 on a
+// second. Under telemetry it records "level1", "summary" and "estimate"
+// spans.
 func summarizeModule(ctx context.Context, m *ir.Module) *summary.ModuleSummary {
 	_, span := telemetry.StartSpan(ctx, "level1")
 	scratch := m.Clone()
@@ -271,10 +272,11 @@ func summarizeModule(ctx context.Context, m *ir.Module) *summary.ModuleSummary {
 	ms := summary.SummarizeModule(scratch)
 	span.End()
 
-	// Refine the register-need estimates after level 2 on the same scratch
-	// (module-local eligibility approximates what phase 2 will do). The
-	// records hold no references into the IR, so the scratch is free to
-	// change now.
+	// Refine the register-need estimates on a level-2-optimized copy
+	// (module-local eligibility approximates what phase 2 will do). Level 2
+	// must start from m, not from the level-1 scratch: its round limit
+	// counts from unoptimized code, and the extra rounds can change the
+	// estimate (TestSummarizeEstimateMatchesFreshLevel2).
 	_, span = telemetry.StartSpan(ctx, "estimate")
 	local := make(map[string]bool)
 	for _, g := range m.Globals {
@@ -282,7 +284,7 @@ func summarizeModule(ctx context.Context, m *ir.Module) *summary.ModuleSummary {
 			local[g.Name] = true
 		}
 	}
-	for i, f := range scratch.Funcs {
+	for i, f := range m.Clone().Funcs {
 		opt.Level2(f, local, nil)
 		ms.Procs[i].CalleeSavesNeeded = summary.EstimateCalleeSaves(f)
 	}

@@ -1,13 +1,8 @@
 package ipra
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
-	"fmt"
-	"os"
-	"sort"
 	"testing"
 
 	"ipra/internal/benchprogs"
@@ -66,45 +61,5 @@ func TestPressureGoldens(t *testing.T) {
 		}
 	}
 
-	if *updatePressureGolden {
-		keys := make([]string, 0, len(got))
-		for k := range got {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		var buf bytes.Buffer
-		buf.WriteString("{\n")
-		for i, k := range keys {
-			comma := ","
-			if i == len(keys)-1 {
-				comma = ""
-			}
-			fmt.Fprintf(&buf, "  %q: %q%s\n", k, got[k], comma)
-		}
-		buf.WriteString("}\n")
-		if err := os.WriteFile(pressureGoldenPath, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d goldens to %s", len(got), pressureGoldenPath)
-		return
-	}
-
-	data, err := os.ReadFile(pressureGoldenPath)
-	if err != nil {
-		t.Fatalf("%v (regenerate with -update-pressure)", err)
-	}
-	var want map[string]string
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != len(got) {
-		t.Errorf("golden file has %d entries, run produced %d", len(want), len(got))
-	}
-	for k, w := range want {
-		if g, ok := got[k]; !ok {
-			t.Errorf("%s: no measurement for golden entry", k)
-		} else if g != w {
-			t.Errorf("%s: executable hash %s differs from golden %s", k, g, w)
-		}
-	}
+	checkExeGoldens(t, pressureGoldenPath, got, *updatePressureGolden, "-update-pressure")
 }

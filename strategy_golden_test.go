@@ -91,7 +91,16 @@ func TestDefaultStrategyGoldens(t *testing.T) {
 		}
 	}
 
-	if *updateStrategyGolden {
+	checkExeGoldens(t, strategyGoldenPath, got, *updateStrategyGolden, "-update-strategy")
+}
+
+// checkExeGoldens compares got, executable hashes keyed by program and
+// configuration, with the golden file at path. With update set it
+// rewrites the file from got instead; updateFlag names the flag that
+// does so.
+func checkExeGoldens(t *testing.T, path string, got map[string]string, update bool, updateFlag string) {
+	t.Helper()
+	if update {
 		keys := make([]string, 0, len(got))
 		for k := range got {
 			keys = append(keys, k)
@@ -107,19 +116,19 @@ func TestDefaultStrategyGoldens(t *testing.T) {
 			fmt.Fprintf(&buf, "  %q: %q%s\n", k, got[k], comma)
 		}
 		buf.WriteString("}\n")
-		if err := os.MkdirAll(filepath.Dir(strategyGoldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(strategyGoldenPath, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %d goldens to %s", len(got), strategyGoldenPath)
+		t.Logf("wrote %d goldens to %s", len(got), path)
 		return
 	}
 
-	data, err := os.ReadFile(strategyGoldenPath)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (regenerate with -update-strategy)", err)
+		t.Fatalf("%v (regenerate with %s)", err, updateFlag)
 	}
 	var want map[string]string
 	if err := json.Unmarshal(data, &want); err != nil {
@@ -132,7 +141,7 @@ func TestDefaultStrategyGoldens(t *testing.T) {
 		if g, ok := got[k]; !ok {
 			t.Errorf("%s: no measurement for golden entry", k)
 		} else if g != w {
-			t.Errorf("%s: executable hash %s differs from pre-refactor golden %s", k, g, w)
+			t.Errorf("%s: executable hash %s differs from golden %s", k, g, w)
 		}
 	}
 }

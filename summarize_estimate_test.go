@@ -12,9 +12,9 @@ import (
 	"ipra/internal/summary"
 )
 
-// freshLevel2Estimates is the callee-saves estimate as phase 1 used to
-// compute it: level 2 on a fresh clone of the unoptimized module, not on
-// the level-1 scratch summarizeModule reuses. It is the oracle of
+// freshLevel2Estimates is the callee-saves estimate as phase 1 defines
+// it: level 2 on a fresh clone of the unoptimized module, never on the
+// level-1 scratch the summary comes from. It is the oracle of
 // TestSummarizeEstimateMatchesFreshLevel2.
 func freshLevel2Estimates(m *ir.Module) map[string]int {
 	local := make(map[string]bool)
@@ -31,10 +31,11 @@ func freshLevel2Estimates(m *ir.Module) map[string]int {
 	return out
 }
 
-// TestSummarizeEstimateMatchesFreshLevel2 guards summarizeModule's reuse of
-// its level-1 scratch for the level-2 estimate: on progen small and medium
-// (seeds 1-3) and every benchmark analog, each procedure's
-// CalleeSavesNeeded must equal the estimate from a fresh clone.
+// TestSummarizeEstimateMatchesFreshLevel2 guards summarizeModule's level-2
+// estimate against shortcuts such as reusing the level-1 scratch: on
+// progen small and medium (seeds 1-3), every benchmark analog and two
+// hand-written functions, each procedure's CalleeSavesNeeded must equal
+// the estimate from a fresh clone.
 func TestSummarizeEstimateMatchesFreshLevel2(t *testing.T) {
 	programs := make(map[string][]Source)
 	for _, preset := range []string{"small", "medium"} {
@@ -64,11 +65,11 @@ func TestSummarizeEstimateMatchesFreshLevel2(t *testing.T) {
 	}
 
 	// progen and the benchmark analogs never give a level-2 estimate that
-	// differs from the level-1 one. This function does: level 1's second
-	// and last round folds the branch on s and merges the blocks around
-	// the call, so only level 2 optimizes the merged block and reuses the
-	// first a*b + c*d; 1 value crosses the call instead of 5. It lets the
-	// comparison tell the two ways of computing the estimate apart.
+	// differs from the level-1 one. This function does: each round folds
+	// one branch on s and merges one pair of blocks, level 1's two rounds
+	// merge the blocks around the call, and only level 2 optimizes the
+	// merged block and reuses the first a*b + c*d; 1 value crosses the
+	// call instead of 5. The test fails unless some estimate moves.
 	programs["cse-after-merge"] = []Source{src("cse.mc", `
 int h(int v);
 int f(int a, int b, int c, int d) {
@@ -77,6 +78,22 @@ int f(int a, int b, int c, int d) {
 	if (k) { s = 2; } else { s = 3; }
 	h(a * b + c * d);
 	if (s == 2) { s = 4; } else { s = 5; }
+	return a * b + c * d + s;
+}
+`)}
+	// One more link in the chain: level 2 on a fresh clone stops after
+	// three rounds, before the round that would reuse a*b + c*d, so its
+	// estimate stays 5. Level 2 on the level-1 scratch gets five rounds
+	// in all and reaches 1, so reusing the scratch fails here.
+	programs["cse-after-two-merges"] = []Source{src("cse2.mc", `
+int h(int v);
+int f(int a, int b, int c, int d) {
+	int k = 1;
+	int s;
+	if (k) { s = 2; } else { s = 3; }
+	h(a * b + c * d);
+	if (s == 2) { s = 4; } else { s = 5; }
+	if (s == 4) { s = 6; } else { s = 7; }
 	return a * b + c * d + s;
 }
 `)}
